@@ -124,10 +124,9 @@ pub(crate) fn relabel_and_filter(
 
 /// Sort relabeled edges by [`contract_key`] and keep only the first (=
 /// minimum) edge of every (u, v) group — the sample-sort + prefix-merge
-/// compact of Bor-EL (§2.1), also reused by MST-BC's contraction (§4 step 5).
+/// compact of Bor-EL (§2.1).
 ///
-/// Input edges must already be self-loop free. The caller chooses directed
-/// (2m mirrored entries, Bor-EL) or undirected (MST-BC) form.
+/// Input edges must already be self-loop free.
 pub(crate) fn sort_and_dedup(edges: Vec<Edge>, p: usize, meters: &mut [WorkMeter]) -> Vec<Edge> {
     let len = edges.len();
     if len == 0 {

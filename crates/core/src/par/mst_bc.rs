@@ -7,7 +7,10 @@
 //! unvisited pick their minimum incident edge (one Borůvka step), mature
 //! subtrees contract via connected components, and the algorithm recurses on
 //! the contracted graph until the problem fits one processor, which finishes
-//! with the best sequential algorithm.
+//! with the best sequential algorithm. Every round rebuilds its graph in
+//! linear time with no comparison sort: a counting-sorted adjacency
+//! (`Rows`) and a counting-sort merge of parallel edges
+//! (`merge_parallel_edges`).
 //!
 //! With p = 1 this *is* Prim's algorithm (one tree grows to completion per
 //! component); with p = n it degenerates to Borůvka. Load balance uses work
@@ -21,10 +24,12 @@
 //! skipping a lighter crossing edge, making every accepted edge the minimum
 //! edge over its tree's cut.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use msf_graph::{AdjacencyArray, Edge, EdgeKey, EdgeList, OrderedWeight};
+use msf_graph::{Edge, EdgeKey, EdgeList, OrderedWeight};
+use msf_primitives::block_range;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
+use msf_primitives::fused::record_traffic;
 use msf_primitives::heap::IndexedHeap;
 use msf_primitives::obs;
 use msf_primitives::permutation::parallel_permutation;
@@ -33,9 +38,7 @@ use msf_primitives::team::SmpTeam;
 use msf_primitives::unionfind::UnionFind;
 use rayon::prelude::*;
 
-use crate::par::common::{
-    connect_components_from_roots, relabel_and_filter, sort_and_dedup, PHASE_OVERHEAD,
-};
+use crate::par::common::{connect_components_from_roots, relabel_and_filter, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, MstBcStats, RunStats, StepKind, StepSpan};
 use crate::{MsfConfig, MsfResult};
 
@@ -73,26 +76,23 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
         );
         let step = StepSpan::begin(StepKind::FindMin, stats.iterations.len());
 
-        // Index edges so chosen edges resolve to current endpoints; the
-        // total-order key still uses the ORIGINAL id, keeping the forest
-        // identical to every other algorithm's under ties.
-        let indexed: Vec<Edge> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Edge::new(e.u, e.v, e.w, i as u32))
-            .collect();
-        let csr = AdjacencyArray::from_edges(n, &indexed);
+        // Rows hold edge *indices*, so chosen edges resolve to current
+        // endpoints, while the total-order key still uses the ORIGINAL id,
+        // keeping the forest identical to every other algorithm's under ties.
+        let mut grow_meters = vec![WorkMeter::new(); p];
+        let rows = Rows::build::<true>(n, &edges, p, &mut grow_meters);
 
         // Steps 1–2 (Alg. 2): concurrent Prim growth.
-        let (tree_edges, visited, grow_meters, round_stats) =
-            grow_trees(&csr, &edges, n, p, cfg, level);
+        let (tree_edges, visited, round_stats) =
+            grow_trees(&rows, &edges, n, p, cfg, level, &mut grow_meters);
         stats.mstbc = Some(stats.mstbc.unwrap_or_default() + round_stats);
         it.find_min = step.finish(&grow_meters, PHASE_OVERHEAD);
 
         // Step 3: Borůvka step for unvisited vertices.
         let step = StepSpan::begin(StepKind::Connect, stats.iterations.len());
         let mut b_meters = vec![WorkMeter::new(); p];
-        let boruvka_edges = unvisited_min_edges(&csr, &edges, &visited, n, p, &mut b_meters);
+        let boruvka_edges = unvisited_min_edges(&rows, &edges, &visited, p, &mut b_meters);
+        drop(rows);
         let mut chosen = tree_edges;
         chosen.extend_from_slice(&boruvka_edges);
         chosen.sort_unstable();
@@ -108,22 +108,13 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
         let (labels, k) = connect_components_from_roots(roots, p, &mut b_meters);
         it.connect = step.finish(&b_meters, PHASE_OVERHEAD);
 
-        // Step 5: rebuild the graph between supervertices.
+        // Step 5: rebuild the graph between supervertices — relabel and
+        // drop self-loops, then keep one minimum edge per supervertex pair.
         let step = StepSpan::begin(StepKind::Compact, stats.iterations.len());
         let mut cg_meters = vec![WorkMeter::new(); p];
         let survivors = relabel_and_filter(&edges, &labels, p, &mut cg_meters);
-        // Canonicalize direction so (u,v) and (v,u) multi-edges merge.
-        let canon: Vec<Edge> = survivors
-            .into_par_iter()
-            .map(|e| {
-                if e.u <= e.v {
-                    e
-                } else {
-                    Edge::new(e.v, e.u, e.w, e.id)
-                }
-            })
-            .collect();
-        edges = sort_and_dedup(canon, p, &mut cg_meters);
+        drop(edges);
+        edges = merge_parallel_edges(&survivors, k as usize, p, &mut cg_meters);
         n = k as usize;
         it.compact = step.finish(&cg_meters, PHASE_OVERHEAD);
 
@@ -157,17 +148,203 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
     MsfResult::from_ids(g, out, stats)
 }
 
+/// MST-BC's per-round graph: a CSR whose entries pack
+/// `(neighbour << 32) | edge index`, 8 bytes each. Keys are read from
+/// `edges[index]`, so rows carry no weights or ids of their own.
+///
+/// Built by a `p`-block counting sort: every block counts its edges'
+/// entries per row, one prefix pass turns the `p × n` counts into row
+/// starts and per-block cursors, and every block scatters into positions
+/// no other block writes. Row `v` lists block 0's entries first, then
+/// block 1's, and so on, each block in edge order — so rows list entries
+/// in ascending edge index at every `p` and pool width. The scatter goes
+/// through relaxed atomic stores, the only safe way to write interleaved
+/// disjoint positions from several threads; the scatter's fork-join
+/// publishes them before any row is read.
+struct Rows {
+    offsets: Vec<usize>,
+    entries: Vec<AtomicU64>,
+}
+
+impl Rows {
+    /// Lay `edges` out over rows `0..n`: with `MIRROR`, edge `i = (u, v)`
+    /// appears as `(v, i)` in row `u` and `(u, i)` in row `v`; without, once,
+    /// as `(max, i)` in row `min(u, v)`.
+    fn build<const MIRROR: bool>(
+        n: usize,
+        edges: &[Edge],
+        p: usize,
+        meters: &mut [WorkMeter],
+    ) -> Rows {
+        let m = edges.len();
+        let slots = |e: &Edge| {
+            let (a, b) = if MIRROR || e.u < e.v {
+                (e.u, e.v)
+            } else {
+                (e.v, e.u)
+            };
+            [(a, b), (b, a)].into_iter().take(1 + usize::from(MIRROR))
+        };
+        // Pass 1: per-block row counts.
+        let mut counts: Vec<Vec<usize>> = (0..p)
+            .into_par_iter()
+            .map(|t| {
+                let mut c = vec![0usize; n];
+                for e in &edges[block_range(m, p, t)] {
+                    for (r, _) in slots(e) {
+                        c[r as usize] += 1;
+                    }
+                }
+                c
+            })
+            .collect();
+        // Pass 2: row starts, and the counts turned into per-block cursors
+        // (row-major, block-minor). Sequential: n·p additions, small next to
+        // the scatter at the p this runs with.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut total = 0usize;
+        for v in 0..n {
+            offsets.push(total);
+            for c in counts.iter_mut() {
+                let here = c[v];
+                c[v] = total;
+                total += here;
+            }
+        }
+        offsets.push(total);
+        // Pass 3: every block scatters through its own cursors.
+        let entries: Vec<AtomicU64> = (0..total)
+            .into_par_iter()
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        counts
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(t, mut cursor)| {
+                let r = block_range(m, p, t);
+                for (i, e) in r.clone().zip(&edges[r]) {
+                    for (row, nb) in slots(e) {
+                        let at = &mut cursor[row as usize];
+                        entries[*at].store((u64::from(nb) << 32) | i as u64, Ordering::Relaxed);
+                        *at += 1;
+                    }
+                }
+            });
+        // Modeled cost per block: one scattered count increment and one
+        // scattered entry write per entry. The prefix pass over the p × n
+        // count matrix runs on the calling thread, rank 0.
+        let per_edge = 1 + u64::from(MIRROR);
+        for (t, meter) in meters.iter_mut().enumerate().take(p) {
+            let placed = per_edge * block_range(m, p, t).len() as u64;
+            meter.mem(2 * placed);
+            meter.ops(placed);
+        }
+        meters[0].ops((p * n) as u64);
+        // Two sweeps of the edge list, the entry writes, and the count
+        // matrix read and rewritten by the prefix pass.
+        record_traffic((2 * std::mem::size_of_val(edges) + 8 * total + 16 * p * n) as u64);
+        Rows { offsets, entries }
+    }
+
+    /// `(neighbour, edge index)` over row `v`.
+    #[inline]
+    fn row(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        self.entries[lo..hi].iter().map(|x| {
+            let x = x.load(Ordering::Relaxed);
+            ((x >> 32) as u32, x as u32)
+        })
+    }
+}
+
+/// Step 5's merge: keep exactly one edge per unordered supervertex pair,
+/// the minimum under the `(weight, id)` total order — the same edge set a
+/// sort by `(min, max, weight, id)` with a keep-first dedup would leave.
+/// `survivors` are relabeled and self-loop free over `0..k`; the result is
+/// oriented `u < v` and grouped by `u`.
+///
+/// No comparison sort: one counting sort by the smaller endpoint
+/// ([`Rows::build`] without mirroring), then a marker pass over `p` blocks
+/// of rows balanced by entry count. Each block keeps a `k`-slot marker:
+/// while it scans row `a`, `marker[b]` holds one plus the output position
+/// of the pair `(a, b)`'s best edge so far. A marker below the row's first
+/// output position is stale, so markers are never reset.
+fn merge_parallel_edges(
+    survivors: &[Edge],
+    k: usize,
+    p: usize,
+    meters: &mut [WorkMeter],
+) -> Vec<Edge> {
+    let lower = Rows::build::<false>(k, survivors, p, meters);
+    let total = lower.entries.len();
+    let starts = &lower.offsets[..k];
+    let mut bounds: Vec<usize> = (0..p)
+        .map(|t| starts.partition_point(|&o| o < total * t / p))
+        .collect();
+    bounds.push(k);
+    let parts: Vec<Vec<Edge>> = (0..p)
+        .into_par_iter()
+        .map(|t| {
+            let rows = bounds[t]..bounds[t + 1];
+            let mut out: Vec<Edge> =
+                Vec::with_capacity(lower.offsets[rows.end] - lower.offsets[rows.start]);
+            let mut marker = vec![0u32; k];
+            for a in rows {
+                let row_start = out.len();
+                for (b, i) in lower.row(a as u32) {
+                    let e = &survivors[i as usize];
+                    let kept = marker[b as usize] as usize;
+                    if kept > row_start {
+                        let slot = &mut out[kept - 1];
+                        if e.key() < slot.key() {
+                            *slot = Edge::new(a as u32, b, e.w, e.id);
+                        }
+                    } else {
+                        out.push(Edge::new(a as u32, b, e.w, e.id));
+                        marker[b as usize] = out.len() as u32;
+                    }
+                }
+            }
+            out
+        })
+        .collect();
+    let merged = parts.concat();
+    // Modeled cost per block: each entry gathers its survivor and probes
+    // the marker.
+    for (t, meter) in meters.iter_mut().enumerate().take(p) {
+        let placed = (lower.offsets[bounds[t + 1]] - lower.offsets[bounds[t]]) as u64;
+        meter.mem(2 * placed);
+        meter.ops(placed);
+    }
+    // The entry sweep, the survivor gathers, and the kept edges written
+    // once per block and once into the merged list.
+    let edge = std::mem::size_of::<Edge>();
+    record_traffic(((8 + edge) * total + 2 * edge * merged.len()) as u64);
+    merged
+}
+
 /// Alg. 2: every team member claims uncolored start vertices and grows Prim
-/// trees until maturity. Returns the chosen edge indices, the visited map,
-/// and per-thread work meters.
+/// trees until maturity. Returns the chosen edge indices and the visited
+/// map, and adds each rank's work to `meters`.
+///
+/// Colour and visited traffic is `Relaxed`. A colour is written once, by a
+/// CAS from 0, and every decision reads a single colour slot, so per-slot
+/// coherence is all the races need. A stale 0 only makes the grower try a
+/// CAS that fails, or miss a maturity stop, which merely ends growth early:
+/// every accepted edge is still the heap minimum over the tree's whole cut.
+/// `visited[v]` is written and read only by the rank whose colour `v`
+/// holds. The team's join publishes both arrays to the caller: each rank's
+/// latch is set with `Release` and awaited with `Acquire` (a scoped-thread
+/// join under `MSF_SEQUENTIAL`).
 fn grow_trees(
-    csr: &AdjacencyArray,
+    rows: &Rows,
     edges: &[Edge],
     n: usize,
     p: usize,
     cfg: &MsfConfig,
     level: u64,
-) -> (Vec<u32>, Vec<bool>, Vec<WorkMeter>, MstBcStats) {
+    meters: &mut [WorkMeter],
+) -> (Vec<u32>, Vec<bool>, MstBcStats) {
     let color: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let visited: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let order: Option<Vec<u32>> = cfg
@@ -204,7 +381,7 @@ fn grow_trees(
             let Some(slot) = slot else { break };
             let v = order.as_ref().map_or(slot as u32, |o| o[slot]);
             meter.mem(1);
-            if color[v as usize].load(Ordering::SeqCst) != 0 {
+            if color[v as usize].load(Ordering::Relaxed) != 0 {
                 continue;
             }
             // Choose a color unique across processors and this processor's
@@ -215,7 +392,7 @@ fn grow_trees(
                 .wrapping_add(1);
             trees += 1;
             if color[v as usize]
-                .compare_exchange(0, my_color, Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(0, my_color, Ordering::Relaxed, Ordering::Relaxed)
                 .is_err()
             {
                 continue; // lost the race for the start vertex
@@ -237,18 +414,18 @@ fn grow_trees(
                 if p > 1 && accepted.is_multiple_of(32) {
                     std::thread::yield_now();
                 }
-                if color[w as usize].load(Ordering::SeqCst) != my_color {
+                if color[w as usize].load(Ordering::Relaxed) != my_color {
                     local_stats.collisions += 1;
                     break; // collision: another tree owns w — mature
                 }
-                if visited[w as usize].load(Ordering::SeqCst) {
+                if visited[w as usize].load(Ordering::Relaxed) {
                     continue; // already folded into this tree
                 }
                 // Maturity check: any neighbor already in a foreign tree?
                 let mut foreign = false;
-                for (u, _, _) in csr.neighbors(w) {
+                for (u, _) in rows.row(w) {
                     meter.mem(1);
-                    let c = color[u as usize].load(Ordering::SeqCst);
+                    let c = color[u as usize].load(Ordering::Relaxed);
                     if c != 0 && c != my_color {
                         foreign = true;
                         break;
@@ -258,25 +435,26 @@ fn grow_trees(
                     local_stats.matured += 1;
                     break;
                 }
-                visited[w as usize].store(true, Ordering::SeqCst);
+                visited[w as usize].store(true, Ordering::Relaxed);
                 local_stats.visited += 1;
                 if edge_to[w as usize] != NONE {
                     found.push(edge_to[w as usize]);
                 }
-                for (u, _, idx) in csr.neighbors(w) {
+                for (u, idx) in rows.row(w) {
                     meter.mem(1);
                     meter.ops(1);
-                    if color[u as usize].load(Ordering::SeqCst) == my_color
-                        && visited[u as usize].load(Ordering::SeqCst)
-                    {
+                    let c = color[u as usize].load(Ordering::Relaxed);
+                    if c == my_color && visited[u as usize].load(Ordering::Relaxed) {
                         continue; // my own tree body
                     }
-                    let _ = color[u as usize].compare_exchange(
-                        0,
-                        my_color,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    );
+                    if c == 0 {
+                        let _ = color[u as usize].compare_exchange(
+                            0,
+                            my_color,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        );
+                    }
                     // Insert regardless of who owns u: if the cut minimum
                     // leads into a foreign tree we must *stop* there, not
                     // skip past it (see module docs).
@@ -291,30 +469,29 @@ fn grow_trees(
     });
 
     let mut found = Vec::new();
-    let mut meters = Vec::with_capacity(p);
     let mut agg = MstBcStats::default();
-    for (f, m, st) in results {
+    for ((f, m, st), meter) in results.into_iter().zip(meters.iter_mut()) {
         found.extend_from_slice(&f);
-        meters.push(m);
+        *meter = *meter + m;
         agg = agg + st;
     }
     let visited: Vec<bool> = visited.into_iter().map(AtomicBool::into_inner).collect();
-    (found, visited, meters, agg)
+    (found, visited, agg)
 }
 
 /// Step 3: each unvisited vertex contributes its minimum incident edge.
 fn unvisited_min_edges(
-    csr: &AdjacencyArray,
+    rows: &Rows,
     edges: &[Edge],
     visited: &[bool],
-    n: usize,
     p: usize,
     meters: &mut [WorkMeter],
 ) -> Vec<u32> {
+    let n = visited.len();
     let parts: Vec<(Vec<u32>, WorkMeter)> = (0..p)
         .into_par_iter()
         .map(|t| {
-            let r = msf_primitives::block_range(n, p, t);
+            let r = block_range(n, p, t);
             let mut meter = WorkMeter::new();
             let mut found = Vec::new();
             for v in r {
@@ -323,7 +500,7 @@ fn unvisited_min_edges(
                 }
                 meter.mem(1);
                 let mut best: Option<(EdgeKey, u32)> = None;
-                for (_, _, idx) in csr.neighbors(v as u32) {
+                for (_, idx) in rows.row(v as u32) {
                     meter.ops(1);
                     let key = edges[idx as usize].key();
                     if best.is_none_or(|(bk, _)| key < bk) {
@@ -348,12 +525,120 @@ fn unvisited_min_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::common::sort_and_dedup;
     use msf_graph::generators::{random_graph, structured, GeneratorConfig, StructuredKind};
+    use msf_graph::AdjacencyArray;
+    use proptest::prelude::*;
 
     fn cfg(p: usize) -> MsfConfig {
         MsfConfig {
             base_size: 8,
             ..MsfConfig::with_threads(p)
+        }
+    }
+
+    /// An edge set as sorted `(min, max, id)` triples.
+    fn pair_triples(edges: &[Edge]) -> Vec<(u32, u32, u32)> {
+        let mut t: Vec<_> = edges
+            .iter()
+            .map(|e| (e.u.min(e.v), e.u.max(e.v), e.id))
+            .collect();
+        t.sort_unstable();
+        t
+    }
+
+    /// Relabel `edges` through `labels`, merge, and check the result against
+    /// the sort-based step 5 it replaced (canonical orientation, then
+    /// `sort_and_dedup`) at several `p`. Returns the merged list.
+    fn check_merge(edges: &[Edge], labels: &[u32], k: usize) -> Vec<Edge> {
+        let mut first: Option<Vec<Edge>> = None;
+        for p in [1, 2, 3, 8] {
+            let mut meters = vec![WorkMeter::new(); p];
+            let survivors = relabel_and_filter(edges, labels, p, &mut meters);
+            let merged = merge_parallel_edges(&survivors, k, p, &mut meters);
+            assert!(merged.iter().all(|e| e.u < e.v), "p={p}: not oriented");
+            let canon: Vec<Edge> = survivors
+                .iter()
+                .map(|e| Edge::new(e.u.min(e.v), e.u.max(e.v), e.w, e.id))
+                .collect();
+            let reference = sort_and_dedup(canon, p, &mut meters);
+            assert_eq!(pair_triples(&merged), pair_triples(&reference), "p={p}");
+            // The output order is p-independent too, not just the set.
+            match &first {
+                Some(f) => assert_eq!(&merged, f, "p={p}: order differs from p=1"),
+                None => first = Some(merged),
+            }
+        }
+        first.unwrap_or_default()
+    }
+
+    #[test]
+    fn merge_keeps_the_edges_sort_and_dedup_keeps() {
+        // Vertices 3 and 4 contract into supervertex 3; 5 becomes 4.
+        let labels = vec![0, 1, 2, 3, 3, 4];
+        let edges = vec![
+            Edge::new(0, 1, 3.0, 0),
+            Edge::new(1, 0, 2.0, 1), // reversed orientation, lighter: wins
+            Edge::new(2, 1, 5.0, 2), // tie on weight: the lower id wins…
+            Edge::new(1, 2, 5.0, 3), // …whatever the orientation
+            Edge::new(0, 3, 1.0, 4),
+            Edge::new(4, 0, 1.0, 5), // same pair only after relabelling
+            Edge::new(3, 4, 0.1, 6), // self-loop after relabelling
+            Edge::new(5, 2, 7.0, 7),
+            Edge::new(4, 5, 0.5, 8),
+            Edge::new(5, 3, 0.25, 9), // collides with id 8, lighter
+        ];
+        let merged = check_merge(&edges, &labels, 5);
+        assert_eq!(
+            pair_triples(&merged),
+            vec![(0, 1, 1), (0, 3, 4), (1, 2, 2), (2, 4, 7), (3, 4, 9)]
+        );
+        // Nothing in, and everything collapsed into one supervertex.
+        assert!(check_merge(&[], &[0, 0], 1).is_empty());
+        assert!(check_merge(&edges, &[0; 6], 1).is_empty());
+    }
+
+    /// Random small multigraphs (self-loops, both orientations, few distinct
+    /// weights) under random contractions.
+    fn arb_contraction() -> impl Strategy<Value = (Vec<Edge>, Vec<u32>, usize)> {
+        (2usize..40, 1usize..40)
+            .prop_flat_map(|(n, k)| {
+                (
+                    collection::vec((0..n as u32, 0..n as u32, 0u32..6), 0..200),
+                    collection::vec(0..k as u32, n..n + 1),
+                    Just(k),
+                )
+            })
+            .prop_map(|(raw, labels, k)| {
+                let edges = raw
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (u, v, w))| Edge::new(u, v, f64::from(w), i as u32))
+                    .collect();
+                (edges, labels, k)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn merge_matches_sort_and_dedup_on_random_multigraphs(c in arb_contraction()) {
+            let (edges, labels, k) = c;
+            check_merge(&edges, &labels, k);
+        }
+    }
+
+    #[test]
+    fn rows_list_entries_in_edge_order_at_every_p() {
+        let g = random_graph(&GeneratorConfig::with_seed(4), 300, 1_500);
+        let csr = AdjacencyArray::from_edge_list(&g);
+        for p in [1, 2, 3, 8] {
+            let rows = Rows::build::<true>(300, g.edges(), p, &mut vec![WorkMeter::new(); p]);
+            for v in 0..300u32 {
+                let expect: Vec<(u32, u32)> = csr.neighbors(v).map(|(u, _, id)| (u, id)).collect();
+                assert_eq!(rows.row(v).collect::<Vec<_>>(), expect, "p={p}, row {v}");
+            }
         }
     }
 

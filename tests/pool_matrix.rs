@@ -7,11 +7,14 @@
 //! call tree, once inline in deterministic order, once on the pool. The
 //! results must be **bit-identical** — same forest edge ids in the same
 //! order, same total weight bits, same component count — and every pooled
-//! forest must independently pass the cut/cycle certificate.
+//! forest must independently pass the cut/cycle certificate. The inputs
+//! mix uniform, mesh and structured graphs with skewed-degree ones
+//! (R-MAT, power-law), whose contractions merge heavy parallel-edge runs.
 
 use msf_core::{certify, fuzz, minimum_spanning_forest, Algorithm, MsfConfig, MsfResult};
 use msf_graph::generators::{
-    mesh2d, random_graph, structured, GeneratorConfig, StructuredKind, WeightScheme,
+    mesh2d, powerlaw_from, powerlaw_graph, random_graph, rmat_graph, rmat_graph500, structured,
+    GeneratorConfig, StructuredKind, WeightScheme,
 };
 use msf_graph::EdgeList;
 
@@ -38,6 +41,16 @@ fn inputs() -> Vec<(String, EdgeList)> {
                 WeightScheme::SmallIntegers { range: 8 },
                 7,
             ),
+        ),
+        // Skewed degrees: contraction merges many parallel edges per
+        // supervertex pair, which the uniform inputs above rarely do.
+        (
+            "rmat scale 12".into(),
+            rmat_graph(rmat_graph500(&cfg, 12, 8)).expect("small R-MAT builds"),
+        ),
+        (
+            "powerlaw n=4000 m=24000".into(),
+            powerlaw_graph(powerlaw_from(&cfg, 4_000, 24_000)).expect("small power-law builds"),
         ),
     ]
 }

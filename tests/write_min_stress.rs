@@ -2,6 +2,8 @@
 //! speed contenders: `atomic::MinSlots` (write-min races) and
 //! `connectivity::concurrent::ConcurrentUnionFind` (CAS hooking).
 //!
+//! It also races MST-BC's CAS-once colour claims end to end.
+//!
 //! Three contracts are held here:
 //!
 //! * **Determinism under racing.** However the schedule interleaves, the
@@ -330,6 +332,48 @@ fn filter_kruskal_is_deterministic_under_the_stress_pool() {
         );
         assert_eq!(r.total_weight.to_bits(), reference.total_weight.to_bits());
     }
+}
+
+/// MST-BC's colour race on the stress pool: eight growers claim vertices
+/// through CAS-once colours on a hub-heavy power-law graph, with the random
+/// start permutation and work stealing on, so frontiers meet constantly.
+/// However the claims interleave, every forest must be Kruskal's. The race
+/// must also have happened: some tree stopped at a foreign colour. The
+/// ranks are real threads even under `MSF_SEQUENTIAL=1`, where the team
+/// runs on scoped threads instead of the pool.
+#[test]
+fn mst_bc_colour_race_collides_and_stays_exact() {
+    let _l = lock();
+    msf_pool::force_width(4);
+    let gen = msf_graph::generators::GeneratorConfig::with_seed(13);
+    let g = msf_graph::generators::powerlaw_graph(msf_graph::generators::powerlaw_from(
+        &gen, 10_000, 40_000,
+    ))
+    .expect("power-law graph builds");
+    let reference = msf_core::minimum_spanning_forest(
+        &g,
+        msf_core::Algorithm::Kruskal,
+        &msf_core::MsfConfig::default(),
+    );
+    let cfg = msf_core::MsfConfig {
+        shuffle: true,
+        work_stealing: true,
+        ..msf_core::MsfConfig::with_threads(P)
+    };
+    let mut raced = 0u64;
+    for round in 0..50 {
+        let r = msf_core::minimum_spanning_forest(&g, msf_core::Algorithm::MstBc, &cfg);
+        assert_eq!(
+            r.edges, reference.edges,
+            "round {round}: MST-BC forest drifted from Kruskal's"
+        );
+        let st = r.stats.mstbc.expect("MST-BC populates its counters");
+        raced += st.collisions + st.matured;
+    }
+    assert!(
+        raced > 0,
+        "50 MST-BC runs at p={P} never stopped a tree at a foreign colour"
+    );
 }
 
 #[test]
