@@ -150,7 +150,7 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig, policy: AllocPolicy) -> MsfResult {
     // Initial lists straight from the input. Bor-AL pays one heap `Vec` per
     // vertex here (as it will again every iteration); Bor-ALM bump-allocates
     // the whole generation from its per-thread arenas from the start.
-    let csr = msf_graph::AdjacencyArray::from_edge_list(g);
+    let csr = msf_graph::AdjacencyArray::from_edges(n, g.edges(), p);
     let mut lists = match policy {
         AllocPolicy::SystemHeap => Lists::Heap(
             (0..n as u32)
@@ -344,8 +344,8 @@ fn compact(
     meters: &mut [WorkMeter],
 ) -> Lists {
     // "Sort the vertex array according to the supervertex label" — the
-    // smaller parallel sort is a counting sort here.
-    let (starts, order) = group_by_label(labels, k);
+    // smaller parallel sort is the shared counting sort here.
+    let (starts, order) = group_by_label(labels, k, p);
     for m in meters.iter_mut() {
         m.mem((labels.len() / p.max(1)) as u64 + 1);
         m.ops((labels.len() / p.max(1)) as u64 + 1);

@@ -1,19 +1,22 @@
 //! Bor-FAL: parallel Borůvka on the flexible adjacency list (paper §2.3).
 //!
-//! compact-graph becomes a small sort plus pointer appends — no edge is ever
-//! rewritten or copied, and its cost depends only on the number of
-//! supervertices. In exchange, find-min must translate endpoints through
-//! the vertex→supervertex lookup table and filter self-loops and
+//! compact-graph rewrites the vertex→supervertex lookup table and regroups
+//! the membership array — no edge is ever rewritten or copied, and its cost
+//! depends only on the number of vertices. In exchange, find-min must
+//! translate endpoints through the lookup table and filter self-loops and
 //! multi-edges on the fly, so its cost stays O(m) every iteration. Fewer
 //! memory *writes* is the key SMP win: "memory writes typically generate
 //! more cache coherency transactions than do reads".
 
-use msf_graph::{EdgeKey, EdgeList, FlexAdjacencyList, OrderedWeight};
+use msf_graph::{EdgeList, FlexAdjacencyList};
+use msf_primitives::block_range;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
+use msf_primitives::csr;
+use msf_primitives::fused::record_traffic;
 use msf_primitives::obs;
 use rayon::prelude::*;
 
-use crate::par::common::{connect_components, emit_unique, PHASE_OVERHEAD};
+use crate::par::common::{connect_components, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
 use crate::{MsfConfig, MsfResult};
 
@@ -22,174 +25,172 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
     let watch = Stopwatch::start();
     let p = cfg.threads.max(1);
     let mut stats = RunStats::new("Bor-FAL", p);
+    let n = g.num_vertices();
 
-    let mut flex = FlexAdjacencyList::new(g);
-    let mut out: Vec<u32> = Vec::with_capacity(g.num_vertices().saturating_sub(1));
-    // The flexible list never shrinks the edge set, so the 2m column of the
-    // iteration trace is constant — exactly what the paper reports about
-    // Bor-FAL's compact step ("almost the same for the three input graphs
-    // because it only depends on the number of vertices").
-    let directed_edges = flex.base().num_directed_edges();
+    // Setup: the base CSR, built over p blocks, plus the identity
+    // membership and lookup table.
+    let setup = StepSpan::begin(StepKind::Setup, 0);
+    let mut setup_meters = vec![WorkMeter::new(); p];
+    let mut flex = FlexAdjacencyList::new(g, p);
+    csr::charge_build(&mut setup_meters, n, g.num_edges(), 2);
+    // Two sweeps of the edge list, two 8-byte words per entry, the count
+    // matrix read and rewritten by the prefix pass, and the identity
+    // membership, member starts and lookup table.
+    let entries = flex.base().num_directed_edges();
+    record_traffic(
+        (2 * std::mem::size_of_val(g.edges()) + 16 * entries + 16 * p * n + 16 * n) as u64,
+    );
+    stats.add_flat_cost(setup.finish(&setup_meters, PHASE_OVERHEAD).modeled_max);
 
+    // Forest membership by edge id: two supervertices may pick the same
+    // edge, and the marks dedup it with no sort.
+    let mut in_forest = vec![false; g.num_edges()];
     loop {
-        let n = flex.num_supervertices();
-        if n <= 1 {
+        let k = flex.num_supervertices();
+        if k <= 1 {
             break;
         }
+        // The flexible list never shrinks the edge set, so the 2m column of
+        // the iteration trace is constant — exactly what the paper reports
+        // about Bor-FAL's compact step ("almost the same for the three
+        // input graphs because it only depends on the number of vertices").
         let mut it = IterationStats {
-            vertices: n,
-            directed_edges,
+            vertices: k,
+            directed_edges: entries,
             ..Default::default()
         };
         let _iteration = obs::span(
             obs::SpanKind::Iteration,
             stats.iterations.len() as u64,
-            n as u64,
+            k as u64,
         );
 
         // Step 1: find-min with on-the-fly translation + self-loop filter.
         let step = StepSpan::begin(StepKind::FindMin, stats.iterations.len());
         let mut fm_meters = vec![WorkMeter::new(); p];
-        let (to, chosen, any) = find_min(&flex, p, &mut fm_meters);
+        let (to, chosen) = find_min(&flex, p, &mut fm_meters);
+        for &id in &chosen {
+            in_forest[id as usize] = true;
+        }
         it.find_min = step.finish(&fm_meters, PHASE_OVERHEAD);
-        if !any {
+        if chosen.is_empty() {
             // Every supervertex is mature: the forest is complete. This
             // probe iteration is not pushed onto the stats, so its find-min
             // span is a trailing singleton in the trace.
             break;
         }
-        emit_unique(&mut out, chosen);
 
         // Step 2: connect-components.
         let step = StepSpan::begin(StepKind::Connect, stats.iterations.len());
         let mut cc_meters = vec![WorkMeter::new(); p];
-        let (labels, k) = connect_components(to, p, &mut cc_meters);
+        let (labels, new_k) = connect_components(to, p, &mut cc_meters);
         it.connect = step.finish(&cc_meters, PHASE_OVERHEAD);
 
-        // Step 3: compact-graph — membership appends + lookup-table rewrite.
+        // Step 3: compact-graph — one counting sort of the vertices by
+        // their new supervertex regroups the membership and rewrites the
+        // lookup table. Each vertex gathers its new label in both passes.
         let step = StepSpan::begin(StepKind::Compact, stats.iterations.len());
-        let mut cg_meter = WorkMeter::new();
-        cg_meter.ops(n as u64); // membership moves
-        cg_meter.mem(flex.labels().len() as u64 / p as u64 + 1); // table rewrite
-
+        let mut cg_meters = vec![WorkMeter::new(); p];
+        for (t, meter) in cg_meters.iter_mut().enumerate() {
+            meter.mem(2 * block_range(n, p, t).len() as u64);
+        }
+        csr::charge_build(&mut cg_meters, new_k as usize, n, 1);
         // Bor-FAL's compact never touches edge data — its entire bandwidth
-        // bill is the membership moves plus the u32 lookup-table rewrite
-        // (one read of the old label, one write of the new), which is why it
-        // shows the smallest kernel.fused_bytes_read of the Borůvka family
-        // (DESIGN.md §15).
-        msf_primitives::fused::record_traffic((8 * flex.labels().len() + 4 * n) as u64);
-        flex.compact(&labels, k as usize);
-        it.compact = step.finish(
-            &vec![
-                WorkMeter {
-                    mem: cg_meter.mem,
-                    ops: cg_meter.ops / p as u64 + 1,
-                };
-                p
-            ],
-            PHASE_OVERHEAD,
-        );
+        // bill is per vertex: two sweeps of the table, each gathering the
+        // new label, the member and table writes, and the count matrix read
+        // and rewritten by the prefix pass (DESIGN.md §15).
+        record_traffic((24 * n + 16 * p * new_k as usize) as u64);
+        flex.compact(&labels, new_k as usize, p);
+        it.compact = step.finish(&cg_meters, PHASE_OVERHEAD);
 
         stats.push_iteration(it);
     }
 
+    let out: Vec<u32> = (0..g.num_edges() as u32)
+        .filter(|&id| in_forest[id as usize])
+        .collect();
     stats.total_seconds = watch.seconds();
     MsfResult::from_ids(g, out, stats)
 }
 
 /// find-min across supervertices: scan every member's base adjacency list,
-/// translating targets through the lookup table; returns hook targets,
-/// chosen edge ids, and whether any supervertex still had an external edge.
+/// translating targets through the lookup table; returns the hook targets
+/// and the chosen edge ids, empty once no supervertex has an external edge.
 ///
-/// Work is partitioned over *member vertices*, not supervertices: once a
-/// giant supervertex absorbs most of the graph, per-supervertex blocks
-/// would leave one worker with nearly all edges ("load balancing among the
-/// processors as the algorithm progresses" — the same balancing concern the
-/// paper raises for find-min). Blocks may split a supervertex, so each
-/// worker returns per-supervertex partial minima that a cheap sequential
-/// pass merges.
-fn find_min(
-    flex: &FlexAdjacencyList,
-    p: usize,
-    meters: &mut [WorkMeter],
-) -> (Vec<u32>, Vec<u32>, bool) {
-    let n = flex.num_supervertices();
-    // Prefix offsets of the virtual concatenation of all member lists.
-    let mut offs: Vec<usize> = Vec::with_capacity(n + 1);
-    offs.push(0);
-    for s in 0..n as u32 {
-        offs.push(offs[s as usize] + flex.members(s).len());
-    }
-    let total = offs[n];
+/// Work is partitioned over the flat member array in `p` blocks, not over
+/// supervertices: once a giant supervertex absorbs most of the graph,
+/// per-supervertex blocks would leave one worker with nearly all edges
+/// ("load balancing among the processors as the algorithm progresses" —
+/// the same balancing concern the paper raises for find-min). A block may
+/// split a supervertex, so each worker returns per-supervertex partial
+/// minima in member order, and a cheap sequential pass keeps the lighter
+/// of the two partials where consecutive blocks meet.
+fn find_min(flex: &FlexAdjacencyList, p: usize, meters: &mut [WorkMeter]) -> (Vec<u32>, Vec<u32>) {
+    let starts = flex.member_starts();
 
-    // Each worker scans a balanced slice of members and emits (supervertex,
-    // best key, hook target, edge id) partials in supervertex order.
-    type Partial = (u32, EdgeKey, u32, u32);
+    // (supervertex, weight, edge id, hook target) of a block's lightest
+    // external edge per supervertex it covers.
+    type Partial = (u32, f64, u32, u32);
     let parts: Vec<(Vec<Partial>, WorkMeter)> = (0..p)
         .into_par_iter()
         .map(|t| {
-            let r = msf_primitives::block_range(total, p, t);
+            let r = block_range(flex.num_vertices(), p, t);
             let mut meter = WorkMeter::new();
-            let mut partials: Vec<(u32, EdgeKey, u32, u32)> = Vec::new();
-            if r.is_empty() {
-                return (partials, meter);
-            }
-            // First supervertex whose members overlap this block.
-            let mut s = offs.partition_point(|&o| o <= r.start) - 1;
-            let mut idx = r.start;
-            while idx < r.end {
-                let seg_end = offs[s + 1].min(r.end);
-                let members = flex.members(s as u32);
-                let local = &members[idx - offs[s]..seg_end - offs[s]];
-                let mut best: Option<(EdgeKey, u32, u32)> = None;
-                for &v in local {
-                    meter.mem(1); // member hop (the linked-list pointer chase)
-                    for (ts, w, id) in flex.base().neighbors(v) {
-                        // Every scan translates through the lookup table:
-                        // one scattered read per edge entry.
-                        meter.mem(1);
-                        meter.ops(1);
-                        let ts = flex.supervertex_of(ts);
-                        if ts == s as u32 {
-                            continue; // self-loop filtered in find-min
-                        }
-                        let key = EdgeKey {
-                            w: OrderedWeight(w),
-                            id,
-                        };
-                        if best.is_none_or(|(bk, _, _)| key < bk) {
-                            best = Some((key, ts, id));
+            let mut partials: Vec<Partial> = Vec::new();
+            let mut at = r.start;
+            while at < r.end {
+                // The supervertex owning this member; its members run on
+                // to the next start, or past the block's end.
+                let s = flex.supervertex_of(flex.member(at));
+                let seg_end = starts[s as usize + 1].min(r.end);
+                let (mut bw, mut bid, mut bts) = (f64::INFINITY, u32::MAX, u32::MAX);
+                for v in (at..seg_end).map(|i| flex.member(i)) {
+                    // One member hop (the linked-list pointer chase), and
+                    // one scattered lookup-table read per edge entry: every
+                    // scan translates through the table. Self-loops are
+                    // filtered here; the (weight, id) order picks the
+                    // lightest of any multi-edges.
+                    let degree = flex.base().degree(v) as u64;
+                    meter.mem(1 + degree);
+                    meter.ops(degree);
+                    for (nb, w, id) in flex.base().neighbors(v) {
+                        let ts = flex.supervertex_of(nb);
+                        if ts != s && (w < bw || (w == bw && id < bid)) {
+                            (bw, bid, bts) = (w, id, ts);
                         }
                     }
                 }
-                if let Some((key, ts, id)) = best {
-                    partials.push((s as u32, key, ts, id));
+                if bts != u32::MAX {
+                    partials.push((s, bw, bid, bts));
                 }
-                idx = seg_end;
-                s += 1;
+                at = seg_end;
             }
             (partials, meter)
         })
         .collect();
 
-    // Merge partials (a supervertex split across blocks contributes one
-    // partial per block; keep the minimum).
-    let mut to: Vec<u32> = (0..n as u32).collect();
-    let mut best_key: Vec<EdgeKey> = vec![EdgeKey::MAX; n];
-    let mut chosen_of: Vec<u32> = vec![u32::MAX; n];
+    let mut to: Vec<u32> = (0..flex.num_supervertices() as u32).collect();
+    let mut chosen: Vec<u32> = Vec::new();
+    // The partial behind `chosen`'s last entry.
+    let mut last: Option<(u32, f64, u32)> = None;
     for (t, (partials, m)) in parts.into_iter().enumerate() {
         meters[t] = meters[t] + m;
-        for (s, key, ts, id) in partials {
-            if key < best_key[s as usize] {
-                best_key[s as usize] = key;
-                to[s as usize] = ts;
-                chosen_of[s as usize] = id;
+        for (s, w, id, ts) in partials {
+            match last {
+                Some((ls, lw, lid)) if ls == s => {
+                    if (w, id) >= (lw, lid) {
+                        continue;
+                    }
+                    chosen.pop();
+                }
+                _ => {}
             }
+            to[s as usize] = ts;
+            chosen.push(id);
+            last = Some((s, w, id));
         }
     }
-    let chosen: Vec<u32> = chosen_of.into_iter().filter(|&id| id != u32::MAX).collect();
-    let any = !chosen.is_empty();
-    (to, chosen, any)
+    (to, chosen)
 }
 
 #[cfg(test)]
@@ -225,6 +226,42 @@ mod tests {
         let r = msf(&g, &cfg(2));
         assert_eq!(r.edges, vec![0, 1, 2]);
         assert_eq!(r.components, 3);
+    }
+
+    #[test]
+    fn disconnected_random_input_matches_kruskal_at_every_p() {
+        // Two random components, a path and isolated vertices: the run
+        // ends at the maturity break with several supervertices left.
+        let a = random_graph(&GeneratorConfig::with_seed(21), 500, 1_500);
+        let b = random_graph(&GeneratorConfig::with_seed(22), 300, 600);
+        let mut triples: Vec<(u32, u32, f64)> = a.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+        triples.extend(b.edges().iter().map(|e| (e.u + 500, e.v + 500, e.w)));
+        triples.extend([(810, 811, 0.5), (811, 812, 0.25)]);
+        let g = EdgeList::from_triples(820, triples);
+        let expect = crate::seq::kruskal::msf(&g);
+        assert!(expect.components > 2, "the input must stay disconnected");
+        for p in [1, 2, 3, 7] {
+            let r = msf(&g, &cfg(p));
+            assert_eq!(r.edges, expect.edges, "p={p}");
+            assert_eq!(r.components, expect.components, "p={p}");
+            let seq = msf_pool::with_sequential(|| msf(&g, &cfg(p)));
+            assert_eq!(seq.edges, expect.edges, "p={p} sequential");
+        }
+    }
+
+    #[test]
+    fn setup_is_charged_to_the_modeled_cost() {
+        let g = random_graph(&GeneratorConfig::with_seed(3), 300, 900);
+        let r = msf(&g, &cfg(2));
+        let (fm, cc, cg) = r.stats.step_totals();
+        let steps = fm.modeled_max + cc.modeled_max + cg.modeled_max;
+        // The run's modeled cost is its steps plus the setup's flat cost:
+        // at least the 2m entries the base CSR build scatters.
+        assert!(
+            r.stats.modeled_cost >= steps + 2 * 900,
+            "{}",
+            r.stats.modeled_cost
+        );
     }
 
     #[test]

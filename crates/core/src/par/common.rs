@@ -2,11 +2,13 @@
 //! find-min choices, edge relabel/contract passes, and the modeled-cost
 //! conventions.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use msf_graph::{Edge, EdgeList, OrderedWeight};
 use msf_primitives::atomic::{packed_edge_key, MinSlots};
 use msf_primitives::connectivity::{pointer_jump, relabel_consecutive};
 use msf_primitives::cost::WorkMeter;
-use msf_primitives::prefix::exclusive_scan;
+use msf_primitives::csr;
 use msf_primitives::sort::{sample_sort_by_key, SampleSortConfig};
 use rayon::prelude::*;
 
@@ -353,23 +355,22 @@ pub(crate) fn emit_unique(out: &mut Vec<u32>, mut chosen: Vec<u32>) {
     out.extend_from_slice(&chosen);
 }
 
-/// Build per-supervertex offsets for grouping `n` items by label via a
-/// counting sort: returns `(starts, order)` where `order[starts[s]..starts[s+1]]`
-/// lists the items labeled `s`.
-pub(crate) fn group_by_label(labels: &[u32], k: usize) -> (Vec<usize>, Vec<u32>) {
-    let mut counts = vec![0usize; k + 1];
-    for &l in labels {
-        counts[l as usize] += 1;
-    }
-    exclusive_scan(&mut counts);
-    let starts = counts.clone();
-    let mut cursor = counts;
-    let mut order = vec![0u32; labels.len()];
-    for (v, &l) in labels.iter().enumerate() {
-        order[cursor[l as usize]] = v as u32;
-        cursor[l as usize] += 1;
-    }
-    (starts, order)
+/// Group items by their labels with the shared counting sort over `p` blocks:
+/// returns `(starts, order)` where `order[starts[s]..starts[s+1]]` lists the
+/// items labeled `s`, ascending.
+pub(crate) fn group_by_label(labels: &[u32], k: usize, p: usize) -> (Vec<usize>, Vec<u32>) {
+    let order: Vec<AtomicU32> = csr::zeroed_slots(labels.len());
+    let starts = csr::build_rows(
+        k,
+        labels.len(),
+        p,
+        |v| [(labels[v], v as u32)],
+        |pos, v| order[pos].store(v, Ordering::Relaxed),
+    );
+    (
+        starts,
+        order.into_iter().map(AtomicU32::into_inner).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -445,7 +446,7 @@ mod tests {
     #[test]
     fn group_by_label_buckets() {
         let labels = vec![1u32, 0, 1, 2, 0];
-        let (starts, order) = group_by_label(&labels, 3);
+        let (starts, order) = group_by_label(&labels, 3, 2);
         assert_eq!(starts, vec![0, 2, 4, 5]);
         assert_eq!(&order[0..2], &[1, 4]); // label 0
         assert_eq!(&order[2..4], &[0, 2]); // label 1

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use msf_graph::{Edge, EdgeKey, EdgeList, OrderedWeight};
 use msf_primitives::block_range;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
+use msf_primitives::csr;
 use msf_primitives::fused::record_traffic;
 use msf_primitives::heap::IndexedHeap;
 use msf_primitives::obs;
@@ -150,17 +151,9 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
 
 /// MST-BC's per-round graph: a CSR whose entries pack
 /// `(neighbour << 32) | edge index`, 8 bytes each. Keys are read from
-/// `edges[index]`, so rows carry no weights or ids of their own.
-///
-/// Built by a `p`-block counting sort: every block counts its edges'
-/// entries per row, one prefix pass turns the `p × n` counts into row
-/// starts and per-block cursors, and every block scatters into positions
-/// no other block writes. Row `v` lists block 0's entries first, then
-/// block 1's, and so on, each block in edge order — so rows list entries
-/// in ascending edge index at every `p` and pool width. The scatter goes
-/// through relaxed atomic stores, the only safe way to write interleaved
-/// disjoint positions from several threads; the scatter's fork-join
-/// publishes them before any row is read.
+/// `edges[index]`, so rows carry no weights or ids of their own. Laid out
+/// by the shared counting sort ([`csr::build_rows`]), rows list entries in
+/// ascending edge index at every `p` and pool width.
 struct Rows {
     offsets: Vec<usize>,
     entries: Vec<AtomicU64>,
@@ -176,73 +169,28 @@ impl Rows {
         p: usize,
         meters: &mut [WorkMeter],
     ) -> Rows {
-        let m = edges.len();
-        let slots = |e: &Edge| {
-            let (a, b) = if MIRROR || e.u < e.v {
-                (e.u, e.v)
-            } else {
-                (e.v, e.u)
-            };
-            [(a, b), (b, a)].into_iter().take(1 + usize::from(MIRROR))
-        };
-        // Pass 1: per-block row counts.
-        let mut counts: Vec<Vec<usize>> = (0..p)
-            .into_par_iter()
-            .map(|t| {
-                let mut c = vec![0usize; n];
-                for e in &edges[block_range(m, p, t)] {
-                    for (r, _) in slots(e) {
-                        c[r as usize] += 1;
-                    }
-                }
-                c
-            })
-            .collect();
-        // Pass 2: row starts, and the counts turned into per-block cursors
-        // (row-major, block-minor). Sequential: n·p additions, small next to
-        // the scatter at the p this runs with.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        for v in 0..n {
-            offsets.push(total);
-            for c in counts.iter_mut() {
-                let here = c[v];
-                c[v] = total;
-                total += here;
-            }
-        }
-        offsets.push(total);
-        // Pass 3: every block scatters through its own cursors.
-        let entries: Vec<AtomicU64> = (0..total)
-            .into_par_iter()
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        counts
-            .into_par_iter()
-            .enumerate()
-            .for_each(|(t, mut cursor)| {
-                let r = block_range(m, p, t);
-                for (i, e) in r.clone().zip(&edges[r]) {
-                    for (row, nb) in slots(e) {
-                        let at = &mut cursor[row as usize];
-                        entries[*at].store((u64::from(nb) << 32) | i as u64, Ordering::Relaxed);
-                        *at += 1;
-                    }
-                }
-            });
-        // Modeled cost per block: one scattered count increment and one
-        // scattered entry write per entry. The prefix pass over the p × n
-        // count matrix runs on the calling thread, rank 0.
-        let per_edge = 1 + u64::from(MIRROR);
-        for (t, meter) in meters.iter_mut().enumerate().take(p) {
-            let placed = per_edge * block_range(m, p, t).len() as u64;
-            meter.mem(2 * placed);
-            meter.ops(placed);
-        }
-        meters[0].ops((p * n) as u64);
+        let per_edge = 1 + usize::from(MIRROR);
+        let entries: Vec<AtomicU64> = csr::zeroed_slots(per_edge * edges.len());
+        let offsets = csr::build_rows(
+            n,
+            edges.len(),
+            p,
+            |i| {
+                let e = &edges[i];
+                let (a, b) = if MIRROR || e.u < e.v {
+                    (e.u, e.v)
+                } else {
+                    (e.v, e.u)
+                };
+                let entry = |nb: u32| (u64::from(nb) << 32) | i as u64;
+                [(a, entry(b)), (b, entry(a))].into_iter().take(per_edge)
+            },
+            |pos, entry| entries[pos].store(entry, Ordering::Relaxed),
+        );
+        csr::charge_build(meters, n, edges.len(), per_edge);
         // Two sweeps of the edge list, the entry writes, and the count
         // matrix read and rewritten by the prefix pass.
-        record_traffic((2 * std::mem::size_of_val(edges) + 8 * total + 16 * p * n) as u64);
+        record_traffic((2 * std::mem::size_of_val(edges) + 8 * entries.len() + 16 * p * n) as u64);
         Rows { offsets, entries }
     }
 

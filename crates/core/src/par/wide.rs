@@ -442,6 +442,15 @@ mod tests {
         MsfConfig::with_threads(p)
     }
 
+    /// Held by the tests that set or rely on the process-global narrowing
+    /// mode, so one test's `with_no_narrow` scope never overlaps another
+    /// test's default-mode run.
+    static NARROW_MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn narrow_mode() -> std::sync::MutexGuard<'static, ()> {
+        NARROW_MODE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn expect_ids(g: &msf_graph::EdgeList) -> Vec<u64> {
         crate::seq::kruskal::msf(g)
             .edges
@@ -465,6 +474,7 @@ mod tests {
 
     #[test]
     fn wide_entry_narrows_and_matches() {
+        let _mode = narrow_mode();
         let g = random_graph(&GeneratorConfig::with_seed(5), 4000, 16000);
         let soa = SoaEdgeList::<u64>::from_edge_list(&g).unwrap();
         let r = msf_on_soa(&soa, &cfg(4));
@@ -474,6 +484,7 @@ mod tests {
 
     #[test]
     fn narrowed_and_wide_runs_are_bit_identical() {
+        let _mode = narrow_mode();
         for seed in [2u64, 9] {
             let g = random_graph(&GeneratorConfig::with_seed(seed), 3000, 12000);
             let soa = SoaEdgeList::<u64>::from_edge_list(&g).unwrap();

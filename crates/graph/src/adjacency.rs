@@ -2,8 +2,12 @@
 //!
 //! The paper uses "the more cache-friendly adjacency arrays" (citing Park,
 //! Penner & Prasanna) instead of pointer-linked adjacency lists: one index
-//! array of `n + 1` offsets into flat target/weight/id arrays holding both
-//! directions of every edge.
+//! array of `n + 1` offsets into flat entry arrays holding both directions
+//! of every edge.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use msf_primitives::csr;
 
 use crate::edge::Edge;
 use crate::edgelist::EdgeList;
@@ -11,50 +15,49 @@ use crate::edgelist::EdgeList;
 /// Compressed sparse row adjacency structure. Immutable once built; the
 /// Borůvka variants build fresh (smaller) ones per iteration, while Bor-FAL
 /// keeps the original untouched for the whole run.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every entry is two 8-byte words in two arrays: the weight's bits, and
+/// `(neighbour << 32) | edge id`. The parallel build scatters them through
+/// relaxed atomic stores ([`csr::build_rows`]); reads are relaxed loads,
+/// plain loads on every mainstream target.
+#[derive(Debug)]
 pub struct AdjacencyArray {
     offsets: Vec<usize>,
-    targets: Vec<u32>,
-    weights: Vec<f64>,
-    ids: Vec<u32>,
+    weights: Vec<AtomicU64>,
+    entries: Vec<AtomicU64>,
 }
 
 impl AdjacencyArray {
-    /// Build from an edge list (both directions of each edge are laid out).
+    /// Build from an edge list (both directions of each edge are laid out)
+    /// on the calling thread.
     pub fn from_edge_list(g: &EdgeList) -> Self {
-        Self::from_edges(g.num_vertices(), g.edges())
+        Self::from_edges(g.num_vertices(), g.edges(), 1)
     }
 
-    /// Build from undirected edges over `0..n` (counting sort by source).
-    pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut counts = vec![0usize; n + 1];
-        for e in edges {
-            counts[e.u as usize] += 1;
-            counts[e.v as usize] += 1;
-        }
-        // counts has n+1 entries with counts[n] == 0, so the exclusive scan
-        // leaves the total in the final slot: counts becomes the offsets.
-        let total = msf_primitives::prefix::exclusive_scan(&mut counts);
-        let offsets = counts;
-        // `cursor` clones the start offsets and advances as rows fill.
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; total];
-        let mut weights = vec![0f64; total];
-        let mut ids = vec![0u32; total];
-        for e in edges {
-            for (src, dst) in [(e.u, e.v), (e.v, e.u)] {
-                let slot = cursor[src as usize];
-                cursor[src as usize] += 1;
-                targets[slot] = dst;
-                weights[slot] = e.w;
-                ids[slot] = e.id;
-            }
-        }
+    /// Build from undirected edges over `0..n` with the shared `p`-block
+    /// counting sort. Row `v` lists `v`'s incident edges in the order of
+    /// `edges`, the same at every `p`.
+    pub fn from_edges(n: usize, edges: &[Edge], p: usize) -> Self {
+        let weights: Vec<AtomicU64> = csr::zeroed_slots(2 * edges.len());
+        let entries: Vec<AtomicU64> = csr::zeroed_slots(2 * edges.len());
+        let offsets = csr::build_rows(
+            n,
+            edges.len(),
+            p,
+            |i| {
+                let e = &edges[i];
+                let entry = |nb: u32| (u64::from(nb) << 32) | u64::from(e.id);
+                [(e.u, (entry(e.v), e.w)), (e.v, (entry(e.u), e.w))]
+            },
+            |pos, (entry, w)| {
+                weights[pos].store(w.to_bits(), Ordering::Relaxed);
+                entries[pos].store(entry, Ordering::Relaxed);
+            },
+        );
         AdjacencyArray {
             offsets,
-            targets,
             weights,
-            ids,
+            entries,
         }
     }
 
@@ -67,7 +70,7 @@ impl AdjacencyArray {
     /// Number of directed entries (2m for an undirected graph).
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
-        self.targets.len()
+        self.entries.len()
     }
 
     /// Degree of `v`.
@@ -76,24 +79,18 @@ impl AdjacencyArray {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
-    /// The row of `v` as parallel slices `(targets, weights, ids)`.
-    #[inline]
-    pub fn row(&self, v: u32) -> (&[u32], &[f64], &[u32]) {
-        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
-        (
-            &self.targets[lo..hi],
-            &self.weights[lo..hi],
-            &self.ids[lo..hi],
-        )
-    }
-
     /// Iterate `(neighbor, weight, edge id)` over `v`'s incident edges.
+    #[inline]
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, f64, u32)> + '_ {
-        let (t, w, i) = self.row(v);
-        t.iter()
-            .zip(w.iter())
-            .zip(i.iter())
-            .map(|((&t, &w), &i)| (t, w, i))
+        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        self.entries[lo..hi]
+            .iter()
+            .zip(&self.weights[lo..hi])
+            .map(|(x, w)| {
+                let x = x.load(Ordering::Relaxed);
+                let w = f64::from_bits(w.load(Ordering::Relaxed));
+                ((x >> 32) as u32, w, x as u32)
+            })
     }
 
     /// The row offsets array (length n + 1).
@@ -106,9 +103,16 @@ impl AdjacencyArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{random_graph, rmat_graph, rmat_graph500, GeneratorConfig};
 
     fn path4() -> EdgeList {
         EdgeList::from_triples(4, vec![(0, 1, 0.5), (1, 2, 1.5), (2, 3, 2.5)])
+    }
+
+    fn rows(csr: &AdjacencyArray) -> Vec<Vec<(u32, f64, u32)>> {
+        (0..csr.num_vertices() as u32)
+            .map(|v| csr.neighbors(v).collect())
+            .collect()
     }
 
     #[test]
@@ -148,9 +152,45 @@ mod tests {
     fn multi_edges_are_kept_distinct() {
         // Two parallel edges with different weights/ids between 0 and 1.
         let edges = vec![Edge::new(0, 1, 1.0, 0), Edge::new(0, 1, 2.0, 1)];
-        let csr = AdjacencyArray::from_edges(2, &edges);
+        let csr = AdjacencyArray::from_edges(2, &edges, 1);
         assert_eq!(csr.degree(0), 2);
         let ids: Vec<u32> = csr.neighbors(0).map(|(_, _, id)| id).collect();
         assert_eq!(ids, vec![0, 1]);
+    }
+
+    #[test]
+    fn rows_list_edges_in_input_order_at_every_p() {
+        let multi = EdgeList::from_triples(
+            6,
+            vec![
+                (0, 1, 3.0),
+                (1, 0, 2.0),
+                (0, 1, 2.0),
+                (4, 1, 1.0),
+                (1, 4, 5.0),
+                (0, 4, 1.0),
+            ],
+        );
+        let graphs = [
+            multi,
+            random_graph(&GeneratorConfig::with_seed(4), 300, 1_500),
+            rmat_graph(rmat_graph500(&GeneratorConfig::with_seed(5), 9, 8)).unwrap(),
+            EdgeList::from_triples(1, vec![]),
+            EdgeList::from_triples(7, vec![]),
+            EdgeList::from_triples(0, vec![]),
+        ];
+        for g in &graphs {
+            let n = g.num_vertices();
+            let reference = AdjacencyArray::from_edges(n, g.edges(), 1);
+            // Ascending edge id per row (ids are input positions here).
+            for row in rows(&reference) {
+                assert!(row.windows(2).all(|w| w[0].2 < w[1].2), "{row:?}");
+            }
+            for p in [2, 3, 8] {
+                let csr = AdjacencyArray::from_edges(n, g.edges(), p);
+                assert_eq!(csr.offsets(), reference.offsets(), "n={n} p={p}");
+                assert_eq!(rows(&csr), rows(&reference), "n={n} p={p}");
+            }
+        }
     }
 }

@@ -224,8 +224,6 @@ pub struct BinWriter {
     out: BufWriter<File>,
     spill_v: BufWriter<File>,
     spill_w: BufWriter<File>,
-    spill_v_path: PathBuf,
-    spill_w_path: PathBuf,
     n: u64,
     m: u64,
     wide: bool,
@@ -234,6 +232,28 @@ pub struct BinWriter {
     crc_u: Fnv64,
     crc_v: Fnv64,
     crc_w: Fnv64,
+    // Last, so the files above are closed before it removes them.
+    files: WriterFiles,
+}
+
+/// The paths a [`BinWriter`] creates. Dropping this removes the spill
+/// files, and the output too unless [`BinWriter::finish`] completed, so a
+/// failed push or write leaves nothing behind.
+struct WriterFiles {
+    out: PathBuf,
+    spill_v: PathBuf,
+    spill_w: PathBuf,
+    finished: bool,
+}
+
+impl Drop for WriterFiles {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.spill_v).ok();
+        std::fs::remove_file(&self.spill_w).ok();
+        if !self.finished {
+            std::fs::remove_file(&self.out).ok();
+        }
+    }
 }
 
 impl BinWriter {
@@ -245,20 +265,21 @@ impl BinWriter {
             return Err(bad(format!("{n} vertices do not fit u32 ids; use wide")));
         }
         let mut out = BufWriter::new(File::create(path)?);
+        // From here on, an early return removes whatever was created.
+        let files = WriterFiles {
+            out: path.to_path_buf(),
+            spill_v: path.with_extension("msfb.spill-v"),
+            spill_w: path.with_extension("msfb.spill-w"),
+            finished: false,
+        };
         // Placeholder header; finish() seeks back and writes the real one.
         out.write_all(&[0u8; HEADER_LEN])?;
-        let spill = |suffix: &str| -> std::io::Result<(PathBuf, BufWriter<File>)> {
-            let p = path.with_extension(format!("msfb{suffix}"));
-            Ok((p.clone(), BufWriter::new(File::create(p)?)))
-        };
-        let (spill_v_path, spill_v) = spill(".spill-v")?;
-        let (spill_w_path, spill_w) = spill(".spill-w")?;
+        let spill_v = BufWriter::new(File::create(&files.spill_v)?);
+        let spill_w = BufWriter::new(File::create(&files.spill_w)?);
         Ok(BinWriter {
             out,
             spill_v,
             spill_w,
-            spill_v_path,
-            spill_w_path,
             n,
             m: 0,
             wide,
@@ -267,6 +288,7 @@ impl BinWriter {
             crc_u: Fnv64::new(),
             crc_v: Fnv64::new(),
             crc_w: Fnv64::new(),
+            files,
         })
     }
 
@@ -322,14 +344,13 @@ impl BinWriter {
     }
 
     /// Concatenate the spilled arrays, write the final header, and delete
-    /// the temp files. Returns `(n, m, weight_sorted)`.
+    /// the temp files. Returns `(n, m, weight_sorted)`. On an error the
+    /// output is deleted too.
     pub fn finish(self) -> std::io::Result<(u64, u64, bool)> {
         let BinWriter {
             mut out,
             spill_v,
             spill_w,
-            spill_v_path,
-            spill_w_path,
             n,
             m,
             wide,
@@ -337,6 +358,7 @@ impl BinWriter {
             crc_u,
             crc_v,
             crc_w,
+            mut files,
             ..
         } = self;
         let width = if wide { 8u64 } else { 4 };
@@ -352,8 +374,8 @@ impl BinWriter {
             out.write_all(&[0u8; 8][..pad])?;
             Ok(())
         };
-        append(spill_v, &spill_v_path, pad)?;
-        append(spill_w, &spill_w_path, 0)?;
+        append(spill_v, &files.spill_v, pad)?;
+        append(spill_w, &files.spill_w, 0)?;
         let flags = if wide { FLAG_WIDE } else { 0 }
             | if sorted && m > 0 {
                 FLAG_WEIGHT_SORTED
@@ -371,8 +393,7 @@ impl BinWriter {
         out.seek(SeekFrom::Start(0))?;
         out.write_all(&header.encode())?;
         out.flush()?;
-        std::fs::remove_file(&spill_v_path).ok();
-        std::fs::remove_file(&spill_w_path).ok();
+        files.finished = true;
         Ok((n, m, header.weight_sorted()))
     }
 }
@@ -685,6 +706,19 @@ mod tests {
     }
 
     #[test]
+    fn failed_writes_leave_no_files_behind() {
+        let dir = tmp("leak");
+        std::fs::create_dir_all(&dir).unwrap();
+        // The second edge's endpoint is out of range: the push fails and
+        // the unfinished writer is dropped.
+        let err = write_stream(dir.join("g.msfb"), 3, false, [(0, 1, 1.0), (0, 9, 1.0)]);
+        assert!(err.is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
+    #[test]
     fn weight_sorted_flag_tracks_push_order() {
         let path = tmp("sorted.msfb");
         let mut w = BinWriter::create(&path, 4, false).unwrap();
@@ -799,8 +833,12 @@ mod tests {
         assert_eq!(csr.num_directed_edges(), reference.num_directed_edges());
         for v in 0..40u32 {
             let (t, w, i) = csr.row(u64::from(v));
-            let (rt, rw, ri) = reference.row(v);
-            assert_eq!((t, w, i), (rt, rw, ri));
+            let row: Vec<(u32, f64, u32)> = (0..t.len()).map(|j| (t[j], w[j], i[j])).collect();
+            assert_eq!(
+                row,
+                reference.neighbors(v).collect::<Vec<_>>(),
+                "row of {v}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }

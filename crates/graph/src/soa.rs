@@ -279,10 +279,12 @@ mod tests {
         assert_eq!(csr.num_directed_edges(), reference.num_directed_edges());
         for v in 0..g.num_vertices() as u32 {
             let (t, w, i) = csr.row(u64::from(v));
-            let (rt, rw, ri) = reference.row(v);
-            assert_eq!(t, rt, "targets of {v}");
-            assert_eq!(w, rw, "weights of {v}");
-            assert_eq!(i, ri, "ids of {v}");
+            let row: Vec<(u32, f64, u32)> = (0..t.len()).map(|j| (t[j], w[j], i[j])).collect();
+            assert_eq!(
+                row,
+                reference.neighbors(v).collect::<Vec<_>>(),
+                "row of {v}"
+            );
         }
     }
 

@@ -13,6 +13,8 @@
 //!   threads behind [`team::SmpTeam`], sense-reversing barriers, and the
 //!   `MSF_SEQUENTIAL` escape hatch.
 //! * [`prefix`] — sequential and parallel prefix sums and compaction.
+//! * [`csr`] — compressed sparse rows by a `p`-block counting sort, the
+//!   shared builder of every adjacency and grouping laid out in parallel.
 //! * [`sort`] — insertion sort, non-recursive merge sort, and the parallel
 //!   sample sort used by the Bor-EL compact-graph step.
 //! * [`connectivity`] — pointer-jumping components for Borůvka hook forests,
@@ -52,6 +54,7 @@ pub mod arena;
 pub mod atomic;
 pub mod connectivity;
 pub mod cost;
+pub mod csr;
 pub mod fused;
 pub mod heap;
 pub mod permutation;

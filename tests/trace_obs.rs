@@ -208,6 +208,33 @@ fn filter_kruskal_trace_shape_and_reconciliation() {
 }
 
 #[test]
+fn bor_fal_setup_is_one_span_before_the_first_iteration() {
+    let _l = lock();
+    let g = mesh();
+    let (trace, r) = traced_run(&g, Algorithm::BorFal, 2);
+    trace.validate_nesting().expect("nesting");
+    assert_eq!(trace.count(SpanKind::Setup, Phase::Begin), 1);
+    assert_eq!(trace.count(SpanKind::Setup, Phase::End), 1);
+    let first = |kind: SpanKind, phase: Phase| {
+        trace
+            .events
+            .iter()
+            .find(|e| e.kind == kind as u16 && e.phase == phase)
+            .copied()
+            .unwrap_or_else(|| panic!("no {} event", kind.name()))
+    };
+    let setup_end = first(SpanKind::Setup, Phase::End);
+    let iteration = first(SpanKind::Iteration, Phase::Begin);
+    // Both run on the calling thread, in program order.
+    assert_eq!(setup_end.tid, iteration.tid);
+    assert!(setup_end.seq < iteration.seq, "setup must end first");
+    assert!(setup_end.ts_ns <= iteration.ts_ns);
+    // The setup build is charged: it carries a nonzero modeled cost.
+    assert!(setup_end.a > 0);
+    assert!(r.stats.modeled_cost > setup_end.a);
+}
+
+#[test]
 fn mst_bc_records_team_and_rank_lifecycles() {
     let _l = lock();
     let g = mesh();
