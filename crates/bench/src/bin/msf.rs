@@ -1129,7 +1129,7 @@ fn bench(args: &[String]) {
     HOOK_RETRY.add(0);
     // Likewise the bandwidth-accounting pair: the fused-kernel byte counter
     // and the per-round live-supervertex histogram always appear in the
-    // report, even for a sweep that never enters a fused sweep (MSF_UNFUSED).
+    // report, even for a sweep whose inputs never reach a fused kernel.
     static FUSED_BYTES: obs::metrics::LazyCounter =
         obs::metrics::LazyCounter::new("kernel.fused_bytes_read");
     static ROUND_LIVE: obs::metrics::LazyHistogram =
@@ -1363,13 +1363,10 @@ fn bench(args: &[String]) {
             ));
             doc.push_str("          \"runs\": [\n");
             for (ri, (m, est)) in sweep.iter().enumerate() {
-                // Schema v3: the in-memory compute representation is always
-                // narrow here (EdgeList cells), and the kernel mode records
-                // whether the fused sweeps were active for this process.
                 doc.push_str(&format!(
                     "            {{\"p\": {}, \"wall_seconds\": {:.6}, \"est_seconds\": {:.6}, \
                      \"modeled_cost\": {}, \"modeled_deterministic\": {}, \"forest_edges\": {}, \
-                     \"total_weight\": {:.6}, \"width\": \"u32\", \"fused\": {}}}{}\n",
+                     \"total_weight\": {:.6}}}{}\n",
                     m.threads,
                     m.wall_seconds,
                     est,
@@ -1377,7 +1374,6 @@ fn bench(args: &[String]) {
                     deterministic,
                     m.result.edges.len(),
                     m.result.total_weight,
-                    !msf_primitives::fused::unfused(),
                     if ri + 1 < sweep.len() { "," } else { "" }
                 ));
             }

@@ -21,8 +21,9 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// Newest `msf bench --json` schema this reader understands. v3 added the
-/// per-run representation width (`"width"`) and kernel mode (`"fused"`).
+/// Newest `msf bench --json` schema this reader understands. Older v3
+/// reports also carry per-run `"width"` and `"fused"` fields, which the
+/// reader ignores.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// One `(graph, algorithm, p)` measurement extracted from a report.
@@ -42,15 +43,6 @@ pub struct Cell {
     pub modeled_deterministic: bool,
     /// Forest size — a correctness canary riding along.
     pub forest_edges: u64,
-    /// Vertex representation width of the run (`"u32"` or `"u64"`; v2
-    /// reports predate the field and default to `"u32"`).
-    pub width: String,
-    /// Whether the run used the fused contraction kernels. Pre-v3 reports
-    /// ran the multi-pass code and default to `false`. A fused-mode
-    /// mismatch between baseline and candidate is informational, never an
-    /// error: comparing the modes is exactly what the fused-vs-unfused
-    /// self-compare CI job does.
-    pub fused: bool,
 }
 
 impl Cell {
@@ -249,12 +241,6 @@ pub fn extract_cells(doc: &Json) -> Result<Vec<Cell>, String> {
                         .and_then(Json::as_bool)
                         .unwrap_or(aname != "MST-BC"),
                     forest_edges: need("forest_edges")? as u64,
-                    width: run
-                        .get("width")
-                        .and_then(Json::as_str)
-                        .unwrap_or("u32")
-                        .to_string(),
-                    fused: run.get("fused").and_then(Json::as_bool).unwrap_or(false),
                 });
             }
         }
@@ -485,11 +471,11 @@ mod tests {
             ))
             .unwrap()
         };
+        // Older v3 reports carry `width` and `fused`; both are read past.
         let cells = extract_cells(&v3(true)).unwrap();
-        assert_eq!(cells[0].width, "u32");
-        assert!(cells[0].fused);
-        // Baseline unfused vs candidate fused: same work model, same
-        // forest — compares clean, the mode is metadata, not a key.
+        assert_eq!(cells.len(), 1);
+        assert_eq!((cells[0].p, cells[0].forest_edges), (2, 3));
+        // Reports that differ only in those fields compare clean.
         let r = compare(&v3(false), &v3(true), &RegressConfig::default()).unwrap();
         assert_eq!(r.regressions(), 0);
         assert_eq!(r.deltas.len(), 1);

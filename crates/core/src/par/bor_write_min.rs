@@ -19,13 +19,12 @@
 //!    array stays in original-id order forever (the property the base case
 //!    leans on).
 //!
-//! **The fused hot path** (default; `MSF_UNFUSED=1` selects the retained
-//! multi-pass shape in [`msf_unfused`]) reads each surviving edge once per
-//! round instead of twice-plus:
+//! **Fused rounds** read each surviving edge once per round instead of
+//! twice-plus:
 //!
 //! * round 0 races directly over the input edge array — [`EdgeList`]
-//!   admits no self-loops, so the setup copy of the undirected list the
-//!   multi-pass shape makes is pure bandwidth and is never materialized;
+//!   admits no self-loops, so a setup copy of the undirected list would be
+//!   pure bandwidth and is never materialized;
 //! * each compact sweep relabels, filters, writes the compacted survivor —
 //!   **and runs the next round's write-min race on it in the same read**.
 //!   The race value is the edge's index into the *pre-contraction* array
@@ -33,11 +32,9 @@
 //!   output being staged); the next find-min merely harvests the quiescent
 //!   slots, translating winner endpoints through that round's labels.
 //!
-//! The race outcome is the same either way — identical candidate set,
-//! identical keys — and every modeled charge is a pure function of
-//! `(m, n, p)` attributed to the same steps, so fused and unfused runs
-//! produce bit-identical forests at exactly equal modeled cost; only the
-//! DRAM traffic differs. See DESIGN.md §15 for the dataflow.
+//! Every modeled charge is a pure function of `(m, n, p)`: the formulas a
+//! standalone race pass and a separate relabel pass would charge,
+//! attributed to the steps they serve. See DESIGN.md §15 for the dataflow.
 //!
 //! The recursion bottoms out on a sequential Kruskal over the contracted
 //! multigraph once few edges survive, amortizing the long tail of tiny
@@ -53,10 +50,7 @@ use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::obs;
 use rayon::prelude::*;
 
-use crate::par::common::{
-    collect_undirected, connect_components, emit_unique, relabel_and_filter, write_min_race,
-    PHASE_OVERHEAD,
-};
+use crate::par::common::{connect_components, emit_unique, write_min_race, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
 use crate::{MsfConfig, MsfResult};
 
@@ -64,17 +58,8 @@ use crate::{MsfConfig, MsfResult};
 /// overhead and a sequential Kruskal finishes the contracted multigraph.
 const BASE_CASE_EDGES: usize = 256;
 
-/// Compute the MSF with Bor-WriteMin.
-pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
-    if msf_primitives::fused::unfused() {
-        msf_unfused(g, cfg)
-    } else {
-        msf_fused(g, cfg)
-    }
-}
-
-/// This round's edge array: round 0 reads the input graph in place (the
-/// fused path never copies it); later rounds own their filtered list.
+/// This round's edge array: round 0 reads the input graph in place (it is
+/// never copied); later rounds own their filtered list.
 enum Round<'a> {
     Input(&'a [Edge]),
     Owned(Vec<Edge>),
@@ -90,17 +75,17 @@ impl Round<'_> {
     }
 }
 
-/// The fused hot path: one read of each surviving edge per round.
-fn msf_fused(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
+/// Compute the MSF with Bor-WriteMin: one read of each surviving edge per
+/// round.
+pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
     let p = cfg.threads.max(1);
     let watch = Stopwatch::start();
     let mut stats = RunStats::new("Bor-WriteMin", p);
 
-    // Setup. The multi-pass shape copies the undirected list here; the
-    // input list already carries no self-loops, so this path races round 0
-    // over it in place and only charges the copy's modeled cost (one read
-    // per edge per block — the identical formula `collect_undirected`
-    // charges).
+    // Setup. The input list already carries no self-loops, so round 0
+    // races over it in place; setup only charges the modeled cost of an
+    // undirected copy (one read per edge per block — the formula
+    // `collect_undirected` charges).
     let setup = StepSpan::begin(StepKind::Setup, 0);
     let mut setup_meters = vec![WorkMeter::new(); p];
     let all = g.edges();
@@ -178,8 +163,7 @@ fn msf_fused(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
         // all in one read of each edge. The race values index the immutable
         // `cur` array, so the key closure never touches the output being
         // staged; the RMWs are attributed to the next find-min (above),
-        // this step charging only the multi-pass compact's two label reads
-        // per edge.
+        // this step charging only the relabel's two label reads per edge.
         let step = StepSpan::begin(StepKind::Compact, stats.iterations.len());
         let mut cg_meters = vec![WorkMeter::new(); p];
         for (t, m) in cg_meters.iter_mut().enumerate() {
@@ -265,75 +249,6 @@ fn harvest(
         to.extend_from_slice(&t_part);
     }
     (chosen, to)
-}
-
-/// The retained multi-pass shape (`MSF_UNFUSED=1`): standalone setup copy,
-/// race pass, harvest, connect, separate relabel+filter pass — the
-/// differential baseline the fused path is proven against.
-fn msf_unfused(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
-    let watch = Stopwatch::start();
-    let p = cfg.threads.max(1);
-    let mut stats = RunStats::new("Bor-WriteMin", p);
-
-    let setup = StepSpan::begin(StepKind::Setup, 0);
-    let mut setup_meters = vec![WorkMeter::new(); p];
-    let mut edges = collect_undirected(g, p, &mut setup_meters);
-    stats.add_flat_cost(setup.finish(&setup_meters, PHASE_OVERHEAD).modeled_max);
-
-    let mut n = g.num_vertices();
-    let mut out: Vec<u32> = Vec::with_capacity(n.saturating_sub(1));
-
-    while !edges.is_empty() {
-        if edges.len() <= BASE_CASE_EDGES {
-            base_case(n, &edges, &mut out, &mut stats);
-            break;
-        }
-        let mut it = IterationStats {
-            vertices: n,
-            directed_edges: 2 * edges.len(),
-            ..Default::default()
-        };
-        let _iteration = obs::span(
-            obs::SpanKind::Iteration,
-            stats.iterations.len() as u64,
-            n as u64,
-        );
-
-        // Step 1: the write-min race, then harvest each vertex's winner —
-        // its chosen edge id for the forest and its hook target for the
-        // contraction.
-        let step = StepSpan::begin(StepKind::FindMin, stats.iterations.len());
-        let mut fm_meters = vec![WorkMeter::new(); p];
-        let slots = write_min_race(&edges, n, p, &mut fm_meters);
-        let (chosen, to) = harvest(&edges, &slots, n, p, &mut fm_meters, |e, v| {
-            (e.id, e.other(v))
-        });
-        emit_unique(&mut out, chosen);
-        it.find_min = step.finish(&fm_meters, PHASE_OVERHEAD);
-
-        // Step 2: star-contract the pseudo-forest (deterministic rule:
-        // mutual pairs break at the smaller index, then pointer jumping).
-        let step = StepSpan::begin(StepKind::Connect, stats.iterations.len());
-        let mut cc_meters = vec![WorkMeter::new(); p];
-        let (labels, k) = connect_components(to, p, &mut cc_meters);
-        it.connect = step.finish(&cc_meters, PHASE_OVERHEAD);
-
-        // Step 3: relabel + drop self-loops, keeping multi-edges and
-        // original ids — the filtered list the next round recurses on.
-        let step = StepSpan::begin(StepKind::Compact, stats.iterations.len());
-        let mut cg_meters = vec![WorkMeter::new(); p];
-        edges = relabel_and_filter(&edges, &labels, p, &mut cg_meters);
-        n = k as usize;
-        it.compact = step.finish(&cg_meters, PHASE_OVERHEAD);
-
-        stats.push_iteration(it);
-        if n <= 1 {
-            break;
-        }
-    }
-
-    stats.total_seconds = watch.seconds();
-    MsfResult::from_ids(g, out, stats)
 }
 
 /// Sequential Kruskal over the contracted multigraph. Relative edge order
@@ -460,25 +375,5 @@ mod tests {
         let seq = msf_primitives::pool::with_sequential(|| msf(&g, &cfg(4)));
         assert_eq!(pooled.edges, seq.edges);
         assert_eq!(pooled.total_weight.to_bits(), seq.total_weight.to_bits());
-    }
-
-    #[test]
-    fn fused_and_unfused_agree_in_forest_and_model() {
-        let g = random_graph(&GeneratorConfig::with_seed(23), 5_000, 20_000);
-        for p in [1, 3, 8] {
-            let fused = msf_primitives::fused::with_unfused(false, || msf(&g, &cfg(p)));
-            let unfused = msf_primitives::fused::with_unfused(true, || msf(&g, &cfg(p)));
-            assert_eq!(fused.edges, unfused.edges, "p {p}");
-            assert_eq!(
-                fused.total_weight.to_bits(),
-                unfused.total_weight.to_bits(),
-                "p {p}"
-            );
-            assert_eq!(
-                fused.stats.modeled_cost, unfused.stats.modeled_cost,
-                "p {p}"
-            );
-            assert_eq!(fused.stats.iterations.len(), unfused.stats.iterations.len());
-        }
     }
 }

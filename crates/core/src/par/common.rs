@@ -71,16 +71,10 @@ pub(crate) fn connect_components_from_roots(
     (labels, k)
 }
 
-/// Relabel endpoints through `labels` and drop self-loops, in `p` metered
-/// blocks. The surviving edges keep their weight and original id.
-///
-/// Dispatches between the fused single-sweep kernel
-/// ([`msf_primitives::fused::filter_relabel_compact`]) and the retained
-/// multi-pass formulation (`MSF_UNFUSED=1`). Both paths produce the exact
-/// same survivors in the exact same order and charge the exact same
-/// modeled cost — two scattered lookup-table reads per edge — which is
-/// what lets the differential suite demand bit-identical forests *and*
-/// equal modeled costs between modes.
+/// Relabel endpoints through `labels` and drop self-loops in one fused
+/// sweep ([`msf_primitives::fused::filter_relabel_compact`]), charging two
+/// scattered lookup-table reads per edge to `p` metered blocks. The
+/// surviving edges keep their weight, original id and relative order.
 pub(crate) fn relabel_and_filter(
     edges: &[Edge],
     labels: &[u32],
@@ -90,28 +84,6 @@ pub(crate) fn relabel_and_filter(
     let p = p.max(1);
     for (t, m) in meters.iter_mut().enumerate().take(p) {
         m.mem(2 * msf_primitives::block_range(edges.len(), p, t).len() as u64);
-    }
-    if msf_primitives::fused::unfused() {
-        // Multi-pass path: per-block staging vectors, then a serial splice.
-        let parts: Vec<Vec<Edge>> = (0..p)
-            .into_par_iter()
-            .map(|t| {
-                let r = msf_primitives::block_range(edges.len(), p, t);
-                let mut out = Vec::with_capacity(r.len());
-                for e in &edges[r] {
-                    let (lu, lv) = (labels[e.u as usize], labels[e.v as usize]);
-                    if lu != lv {
-                        out.push(Edge::new(lu, lv, e.w, e.id));
-                    }
-                }
-                out
-            })
-            .collect();
-        let mut out = Vec::with_capacity(edges.len());
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
-        return out;
     }
     let out =
         msf_primitives::fused::filter_relabel_compact(edges, p, Edge::new(0, 0, 0.0, 0), |_, e| {

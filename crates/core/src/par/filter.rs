@@ -25,7 +25,6 @@ use msf_graph::pathmax::PathMaxForest;
 use msf_graph::EdgeList;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::obs;
-use rayon::prelude::*;
 
 use crate::stats::RunStats;
 use crate::{MsfConfig, MsfResult};
@@ -93,8 +92,7 @@ pub fn msf_with_inner(g: &EdgeList, cfg: &MsfConfig, inner: crate::Algorithm) ->
     let pm = PathMaxForest::build(n, &forest_edges);
     let mut filter_meters = vec![WorkMeter::new(); p];
     let m = g.num_edges();
-    // The cycle-property keep-pass: O(log n) scattered path-max reads per
-    // edge, charged identically on either path below.
+    // The cycle-property keep-pass: O(log n) scattered path-max reads per edge.
     let query_mem = 2 * (usize::BITS - n.max(2).leading_zeros()) as u64;
     for (t, meter) in filter_meters.iter_mut().enumerate() {
         meter.mem(query_mem * msf_primitives::block_range(m, p, t).len() as u64);
@@ -106,33 +104,10 @@ pub fn msf_with_inner(g: &EdgeList, cfg: &MsfConfig, inner: crate::Algorithm) ->
             .is_some_and(|path_max| e.key() > path_max);
         (!heavy).then_some(id as u32)
     };
-    let kept_ids: Vec<u32> = if msf_primitives::fused::unfused() {
-        // Multi-pass path: per-block staging vectors, then a serial splice.
-        let keep_parts: Vec<Vec<u32>> = (0..p)
-            .into_par_iter()
-            .map(|t| {
-                let r = msf_primitives::block_range(m, p, t);
-                let mut keep = Vec::with_capacity(r.len());
-                for id in r {
-                    if let Some(kept) = survives(id) {
-                        keep.push(kept);
-                    }
-                }
-                keep
-            })
-            .collect();
-        let mut kept_ids: Vec<u32> = Vec::new();
-        for part in keep_parts {
-            kept_ids.extend_from_slice(&part);
-        }
-        kept_ids
-    } else {
-        let kept = msf_primitives::fused::filter_compact_indexed(m, p, 0u32, survives);
-        // One sweep over the edge array plus the survivor id write-back;
-        // the path-max reads are side-band traffic the kernel cannot see.
-        msf_primitives::fused::record_traffic((24 * m + 4 * kept.len()) as u64);
-        kept
-    };
+    let kept_ids = msf_primitives::fused::filter_compact_indexed(m, p, 0u32, survives);
+    // One sweep over the edge array plus the survivor id write-back; the
+    // path-max reads are side-band traffic the kernel cannot see.
+    msf_primitives::fused::record_traffic((24 * m + 4 * kept_ids.len()) as u64);
     stats.add_flat_cost(msf_primitives::cost::modeled_time(&filter_meters));
     filter_span.end_with(
         kept_ids.len() as u64,

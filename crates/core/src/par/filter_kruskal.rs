@@ -21,9 +21,7 @@
 //! every subsequent slice is touched exactly once per recursion level by a
 //! fused kernel: [`partition_compact`] for the pivot split (one read, two
 //! compacted writes) and [`filter_relabel_compact`] for the heavy filter
-//! (one read, survivors written back). `MSF_UNFUSED=1` swaps both for the
-//! classic multi-pass staging path with identical output and identical
-//! modeled cost.
+//! (one read, survivors written back).
 //!
 //! Determinism of the pivot: a stride-spread sample of at most
 //! [`PIVOT_SAMPLE`] packed `(weight bits, id)` keys, median taken after a
@@ -35,8 +33,7 @@ use msf_graph::{Edge, EdgeList};
 use msf_primitives::atomic::packed_edge_key;
 use msf_primitives::connectivity::concurrent::ConcurrentUnionFind;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
-use msf_primitives::fused::{filter_relabel_compact, partition_compact, record_traffic, unfused};
-use rayon::prelude::*;
+use msf_primitives::fused::{filter_relabel_compact, partition_compact, record_traffic};
 
 use crate::par::common::PHASE_OVERHEAD;
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan, StepStats};
@@ -175,35 +172,7 @@ fn recurse(
         meter.mem(2 * msf_primitives::block_range(m, p, t).len() as u64);
     }
     let pivot = pick_pivot(edges);
-    let classify = |_: usize, e: &Edge| packed_edge_key(e.w, e.id) <= pivot;
-    let (light, heavy) = if unfused() {
-        // Multi-pass path: per-block staging pairs, then a serial splice.
-        let parts: Vec<(Vec<Edge>, Vec<Edge>)> = (0..p)
-            .into_par_iter()
-            .map(|t| {
-                let r = msf_primitives::block_range(m, p, t);
-                let mut light = Vec::with_capacity(r.len());
-                let mut heavy = Vec::new();
-                for i in r {
-                    if classify(i, &edges[i]) {
-                        light.push(edges[i]);
-                    } else {
-                        heavy.push(edges[i]);
-                    }
-                }
-                (light, heavy)
-            })
-            .collect();
-        let mut light = Vec::new();
-        let mut heavy = Vec::new();
-        for (l, h) in parts {
-            light.extend_from_slice(&l);
-            heavy.extend_from_slice(&h);
-        }
-        (light, heavy)
-    } else {
-        partition_compact(edges, p, classify)
-    };
+    let (light, heavy) = partition_compact(edges, p, |_, e| packed_edge_key(e.w, e.id) <= pivot);
     accumulate(
         levels,
         depth,
@@ -243,33 +212,12 @@ fn recurse(
     for (t, meter) in meters.iter_mut().enumerate() {
         meter.mem(2 * log_n * msf_primitives::block_range(hm, p, t).len() as u64);
     }
-    let survives = |_: usize, e: &Edge| (!uf.same_set(e.u, e.v)).then_some(*e);
-    let kept: Vec<Edge> = if unfused() {
-        let parts: Vec<Vec<Edge>> = (0..p)
-            .into_par_iter()
-            .map(|t| {
-                let r = msf_primitives::block_range(hm, p, t);
-                let mut keep = Vec::with_capacity(r.len());
-                for i in r {
-                    if let Some(e) = survives(i, &heavy[i]) {
-                        keep.push(e);
-                    }
-                }
-                keep
-            })
-            .collect();
-        let mut kept = Vec::new();
-        for part in parts {
-            kept.extend_from_slice(&part);
-        }
-        kept
-    } else {
-        let kept = filter_relabel_compact(&heavy, p, Edge::new(0, 0, 0.0, 0), survives);
-        // The union-find parent reads are side-band traffic the kernel
-        // cannot see; the sweep itself is already recorded.
-        record_traffic(8 * hm as u64);
-        kept
-    };
+    let kept = filter_relabel_compact(&heavy, p, Edge::new(0, 0, 0.0, 0), |_, e| {
+        (!uf.same_set(e.u, e.v)).then_some(*e)
+    });
+    // The union-find parent reads are side-band traffic the kernel cannot
+    // see; the sweep itself is already recorded.
+    record_traffic(8 * hm as u64);
     accumulate(
         levels,
         depth,
@@ -326,7 +274,6 @@ fn base_case(
 mod tests {
     use super::*;
     use msf_graph::generators::{random_graph, GeneratorConfig};
-    use msf_primitives::fused::with_unfused;
 
     fn cfg(p: usize) -> MsfConfig {
         MsfConfig::with_threads(p)
@@ -391,25 +338,6 @@ mod tests {
         let r = msf(&g, &cfg(4));
         assert_eq!(r.edges, expect.edges);
         assert_eq!(r.components, expect.components);
-    }
-
-    #[test]
-    fn fused_and_unfused_agree_in_forest_and_model() {
-        let g = random_graph(&GeneratorConfig::with_seed(23), 3000, 18000);
-        for p in [1, 3, 8] {
-            let fused = with_unfused(false, || msf(&g, &cfg(p)));
-            let plain = with_unfused(true, || msf(&g, &cfg(p)));
-            assert_eq!(fused.edges, plain.edges, "p {p}");
-            assert_eq!(
-                fused.total_weight.to_bits(),
-                plain.total_weight.to_bits(),
-                "p {p}"
-            );
-            assert_eq!(
-                fused.stats.modeled_cost, plain.stats.modeled_cost,
-                "p {p} modeled cost must not depend on the kernel path"
-            );
-        }
     }
 
     #[test]

@@ -11,4 +11,3 @@ pub mod filter;
 pub mod filter_kruskal;
 pub mod mst_bc;
 pub mod sf_hook;
-pub mod wide;

@@ -100,6 +100,13 @@ impl AdjacencyArray {
     }
 }
 
+/// Heap bytes of an [`AdjacencyArray`] over `n` vertices and `m` undirected
+/// edges, without building it: `n + 1` offsets plus two 8-byte words per
+/// directed entry. The ingestion-memory gate measures peaks against it.
+pub fn csr_bytes(n: u64, m: u64) -> u128 {
+    (n as u128 + 1) * 8 + 32 * m as u128
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +163,16 @@ mod tests {
         assert_eq!(csr.degree(0), 2);
         let ids: Vec<u32> = csr.neighbors(0).map(|(_, _, id)| id).collect();
         assert_eq!(ids, vec![0, 1]);
+    }
+
+    #[test]
+    fn csr_size_model_matches_reality() {
+        let g = random_graph(&GeneratorConfig::with_seed(2), 100, 400);
+        let csr = AdjacencyArray::from_edge_list(&g);
+        let heap = std::mem::size_of_val(csr.offsets.as_slice())
+            + std::mem::size_of_val(csr.weights.as_slice())
+            + std::mem::size_of_val(csr.entries.as_slice());
+        assert_eq!(heap as u128, csr_bytes(100, 400));
     }
 
     #[test]

@@ -47,7 +47,6 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::edgelist::{EdgeList, GraphBuildError};
-use crate::soa::{GenericCsr, SoaEdgeList};
 use crate::vertexid::VertexId;
 use bytes::Bytes;
 use msf_primitives::obs::metrics::{LazyCounter, LazyHistogram};
@@ -621,30 +620,6 @@ impl BinGraph {
         }
         Ok(b.finish())
     }
-
-    /// Materialize a [`SoaEdgeList`] at the file's width.
-    pub fn to_soa<V: VertexId>(&self) -> std::io::Result<SoaEdgeList<V>> {
-        let (us, vs) = self
-            .endpoints::<V>()
-            .ok_or_else(|| bad("requested width does not match the file"))?;
-        let mut s = SoaEdgeList::<V>::with_capacity(self.header.n, us.len())
-            .map_err(std::io::Error::from)?;
-        let ws = self.weights();
-        for i in 0..us.len() {
-            s.try_push(us[i].to_u64(), vs[i].to_u64(), ws[i])
-                .map_err(std::io::Error::from)?;
-        }
-        Ok(s)
-    }
-
-    /// Build the CSR adjacency structure straight from the mapped arrays
-    /// (no intermediate edge list).
-    pub fn to_csr<V: VertexId>(&self) -> std::io::Result<GenericCsr<V>> {
-        let (us, vs) = self
-            .endpoints::<V>()
-            .ok_or_else(|| bad("requested width does not match the file"))?;
-        GenericCsr::from_arrays(self.header.n, us, vs, self.weights()).map_err(std::io::Error::from)
-    }
 }
 
 /// Sniff whether `path` starts with the binary magic (used by the CLI to
@@ -700,8 +675,23 @@ mod tests {
         assert!(bin.endpoints::<u32>().is_none());
         assert!(bin.endpoints::<u64>().is_some());
         assert_eq!(bin.to_edge_list().unwrap(), g);
-        let soa = bin.to_soa::<u64>().unwrap();
-        assert_eq!(soa.to_edge_list().unwrap(), g);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn wide_files_hold_more_vertices_than_u32_ids_address() {
+        // Representable, not materialized: opening allocates nothing per
+        // vertex, and only the conversion to compute ids refuses.
+        let n = (1u64 << 32) + 1;
+        let path = tmp("huge.msfb");
+        write_stream(&path, n, true, [(0, n - 1, 1.0), (1, 1 << 32, 2.0)]).unwrap();
+        let bin = BinGraph::open(&path).unwrap();
+        assert_eq!(bin.num_vertices(), n);
+        let err = bin.to_edge_list().unwrap_err();
+        assert!(
+            err.to_string().contains("exceeds the u32 id space"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -819,27 +809,6 @@ mod tests {
         assert_eq!(bin.num_edges(), 0);
         assert!(!bin.header().weight_sorted());
         assert_eq!(bin.to_edge_list().unwrap().num_edges(), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn csr_from_mapping_matches_adjacency_array() {
-        let g = random_graph(&GeneratorConfig::with_seed(13), 40, 100);
-        let path = tmp("csr.msfb");
-        write_binary(&g, &path).unwrap();
-        let bin = BinGraph::open(&path).unwrap();
-        let csr = bin.to_csr::<u32>().unwrap();
-        let reference = crate::adjacency::AdjacencyArray::from_edge_list(&g);
-        assert_eq!(csr.num_directed_edges(), reference.num_directed_edges());
-        for v in 0..40u32 {
-            let (t, w, i) = csr.row(u64::from(v));
-            let row: Vec<(u32, f64, u32)> = (0..t.len()).map(|j| (t[j], w[j], i[j])).collect();
-            assert_eq!(
-                row,
-                reference.neighbors(v).collect::<Vec<_>>(),
-                "row of {v}"
-            );
-        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -19,9 +19,8 @@
 //! large-graph tier's streaming R-MAT and power-law generators.
 //!
 //! The large-graph substrate lives in [`binfmt`] (the `.msfb` binary
-//! on-disk format with a memory-mapped zero-copy loader), [`soa`]
-//! (structure-of-arrays edge lists and CSR generic over id width), and
-//! [`vertexid`] (the sealed u32/u64 width trait).
+//! on-disk format with a memory-mapped zero-copy loader) and [`vertexid`]
+//! (the sealed u32/u64 width trait of its id arrays).
 
 // `binfmt::bytes` is the single intentional exception (mmap + checked POD
 // casts); everything else stays unsafe-free.
@@ -37,7 +36,6 @@ pub mod flexadj;
 pub mod generators;
 pub mod io;
 pub mod pathmax;
-pub mod soa;
 pub mod transform;
 pub mod validate;
 pub mod vertexid;
@@ -47,5 +45,4 @@ pub use binfmt::BinGraph;
 pub use edge::{Edge, EdgeKey, OrderedWeight};
 pub use edgelist::{EdgeList, GraphBuildError};
 pub use flexadj::FlexAdjacencyList;
-pub use soa::{GenericCsr, SoaEdgeList};
 pub use vertexid::VertexId;

@@ -3,10 +3,10 @@
 //! Every in-memory structure in this suite indexes vertices with `u32`,
 //! which halves index bandwidth versus `u64` and is the right call for
 //! every graph with fewer than 2³² vertices — the paper's whole range and
-//! then some. The on-disk binary format and the structure-of-arrays
-//! containers ([`crate::soa`]) are generic over [`VertexId`] so that
-//! graphs beyond 4 billion vertices stay *representable* (storage,
-//! conversion, streaming) without taxing the narrow case with wide ids.
+//! then some. The on-disk binary format ([`crate::binfmt`]) is generic over
+//! [`VertexId`] so that graphs beyond 4 billion vertices stay
+//! *representable* (storage, conversion, streaming) without taxing the
+//! narrow case with wide ids.
 //!
 //! The trait is sealed: exactly `u32` and `u64` implement it, which keeps
 //! the on-disk `flags` bit a total description of the element width.

@@ -10,7 +10,6 @@
 //! CAS-hooking union–find behind the SF-Hook spanning-forest front-end.
 
 pub mod concurrent;
-pub mod label_prop;
 pub mod pointer_jump;
 pub mod seq;
 pub mod sv;

@@ -18,20 +18,16 @@
 //! * [`partition_compact`] — the two-way variant behind filter-Kruskal's
 //!   light/heavy pivot split: one read, two compacted outputs.
 //!
-//! The multi-pass formulations are retained by every call site behind
-//! [`unfused`] (`MSF_UNFUSED=1`, or [`with_unfused`] in-process) for
-//! differential testing: both paths are value-identical by construction —
-//! same survivors, same order, same modeled costs — so the suites can
-//! assert bit-identical forests and exactly equal modeled costs between
-//! them.
+//! Every contraction call site uses these kernels; there is no multi-pass
+//! alternative. Survivors keep index order at every `p`, so a kernel's
+//! output is the same at every thread count.
 //!
-//! Traffic through the fused path is observable: [`record_traffic`] feeds
-//! the `kernel.fused_bytes_read` registry counter (a [`LazyCounter`], free
-//! when metrics are off), which `msf bench --json` pre-registers and
+//! Kernel traffic is observable: [`record_traffic`] feeds the
+//! `kernel.fused_bytes_read` registry counter (a [`LazyCounter`], free when
+//! metrics are off), which `msf bench --json` pre-registers and
 //! EXPERIMENTS.md's bandwidth accounting reads against analytic
 //! bytes-per-edge estimates.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use rayon::prelude::*;
@@ -40,43 +36,6 @@ use crate::obs::metrics::LazyCounter;
 use crate::prefix::{exclusive_scan, PAR_THRESHOLD};
 
 static FUSED_BYTES_READ: LazyCounter = LazyCounter::new("kernel.fused_bytes_read");
-
-/// Mode override: 0 = follow `MSF_UNFUSED`, 1 = force fused, 2 = force
-/// unfused. Only [`with_unfused`] writes it.
-static FORCE_MODE: AtomicU8 = AtomicU8::new(0);
-
-fn env_unfused() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("MSF_UNFUSED")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Whether call sites should take the retained multi-pass path instead of
-/// the fused kernels. Driven by `MSF_UNFUSED=1` (read once per process) or
-/// an in-process [`with_unfused`] scope.
-#[inline]
-pub fn unfused() -> bool {
-    match FORCE_MODE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => env_unfused(),
-    }
-}
-
-/// Run `f` with the fused/unfused mode forced (`true` = multi-pass path),
-/// restoring the previous override afterwards. The override is process
-/// global; because the two paths are value-identical by construction, a
-/// concurrent test observing a flipped mode mid-run still computes the
-/// exact same results — only wall-clock timing differs.
-pub fn with_unfused<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let prev = FORCE_MODE.swap(if on { 2 } else { 1 }, Ordering::Relaxed);
-    let r = f();
-    FORCE_MODE.store(prev, Ordering::Relaxed);
-    r
-}
 
 /// Whether the host has at least two hardware threads — the gate for
 /// placement strategies that trade extra writes for concurrency. Pool
@@ -285,7 +244,7 @@ mod tests {
 
     #[test]
     fn visit_sees_each_index_exactly_once() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let n = PAR_THRESHOLD + 17;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let out = filter_compact_indexed(n, 4, 0usize, |i| {
@@ -318,18 +277,6 @@ mod tests {
                 "p {p}"
             );
         }
-    }
-
-    #[test]
-    fn with_unfused_overrides_and_restores() {
-        let before = unfused();
-        with_unfused(true, || assert!(unfused()));
-        with_unfused(false, || assert!(!unfused()));
-        with_unfused(true, || {
-            with_unfused(false, || assert!(!unfused()));
-            assert!(unfused());
-        });
-        assert_eq!(unfused(), before);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!   replacing barriered segmented find-min), with the order-isomorphic
 //!   `(weight bits, edge id)` packed key.
 //! * [`fused`] — single-pass fused filter/relabel/compact kernels (one
-//!   DRAM sweep per contraction round instead of several), the retained
-//!   multi-pass escape hatch (`MSF_UNFUSED=1`), and the
+//!   DRAM sweep per contraction round instead of several) and the
 //!   `kernel.fused_bytes_read` traffic observable.
 //! * [`unionfind`] — sequential union–find (rank + path compression).
 //! * [`heap`] — an indexed binary heap with `decrease-key` for Prim-style

@@ -15,10 +15,10 @@
 
 use std::sync::Mutex;
 
+use msf_graph::adjacency::csr_bytes;
 use msf_graph::binfmt::{self, BinGraph};
 use msf_graph::generators::{rmat_to_binary, RmatConfig};
 use msf_graph::io;
-use msf_graph::soa::csr_bytes;
 use msf_primitives::obs::alloc;
 
 #[global_allocator]
@@ -76,7 +76,7 @@ fn dimacs_streaming_makes_no_per_line_allocations() {
 }
 
 /// Scaled-down always-on version of the acceptance gate: 2M-edge R-MAT
-/// from binary, heap peak < 2× the u32 CSR size.
+/// from binary, heap peak < 2× the CSR size.
 #[test]
 fn binary_ingest_peak_is_bounded_by_csr_size() {
     ingest_peak_check(18, 8); // n = 262_144, m = 2_097_152
@@ -100,7 +100,7 @@ fn ingest_peak_check(scale: u32, ef: u64) {
     rmat_to_binary(&path, cfg).unwrap();
     let n = cfg.num_vertices();
     let m = cfg.num_edges();
-    let budget = 2 * csr_bytes::<u32>(n, m);
+    let budget = 2 * csr_bytes(n, m);
     let mut mmapped = false;
     let mut edges = 0u64;
     let (_, peak) = measured(|| {

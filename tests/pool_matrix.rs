@@ -7,9 +7,12 @@
 //! call tree, once inline in deterministic order, once on the pool. The
 //! results must be **bit-identical** — same forest edge ids in the same
 //! order, same total weight bits, same component count — and every pooled
-//! forest must independently pass the cut/cycle certificate. The inputs
-//! mix uniform, mesh and structured graphs with skewed-degree ones
-//! (R-MAT, power-law), whose contractions merge heavy parallel-edge runs.
+//! forest must independently pass the cut/cycle certificate. The modeled
+//! cost depends only on the input and `p`, so it must match too, except for
+//! MST-BC, whose racy tie-breaks change its work split from run to run.
+//! The inputs mix uniform, mesh and structured graphs, duplicate weights,
+//! and skewed-degree ones (R-MAT, power-law), whose contractions merge
+//! heavy parallel-edge runs.
 
 use msf_core::{certify, fuzz, minimum_spanning_forest, Algorithm, MsfConfig, MsfResult};
 use msf_graph::generators::{
@@ -31,6 +34,10 @@ fn inputs() -> Vec<(String, EdgeList)> {
         ),
         ("mesh 40x40".into(), mesh2d(&cfg, 40, 40)),
         (
+            "str1 n=2000".into(),
+            structured(&cfg, StructuredKind::Str1, 2_000),
+        ),
+        (
             "str2 n=1500".into(),
             structured(&cfg, StructuredKind::Str2, 1_500),
         ),
@@ -39,6 +46,14 @@ fn inputs() -> Vec<(String, EdgeList)> {
             msf_graph::generators::assign_weights(
                 &random_graph(&cfg, 1_000, 5_000),
                 WeightScheme::SmallIntegers { range: 8 },
+                7,
+            ),
+        ),
+        (
+            "duplicate small-int weights".into(),
+            msf_graph::generators::assign_weights(
+                &random_graph(&cfg, 1_500, 9_000),
+                WeightScheme::SmallIntegers { range: 4 },
                 7,
             ),
         ),
@@ -73,6 +88,12 @@ fn pooled_results_are_bit_identical_to_sequential_across_matrix() {
                     fingerprint(&pooled),
                     "{name}: {algo} at p={p} diverged between sequential and pooled execution"
                 );
+                if algo != Algorithm::MstBc {
+                    assert_eq!(
+                        seq.stats.modeled_cost, pooled.stats.modeled_cost,
+                        "{name}: {algo} at p={p} modeled cost depends on the schedule"
+                    );
+                }
                 certify::certify_msf_with(&g, &pooled, p).unwrap_or_else(|v| {
                     panic!("{name}: {algo} at p={p} pooled forest failed certification: {v}")
                 });
