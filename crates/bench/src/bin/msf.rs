@@ -77,8 +77,8 @@ fn usage() -> ! {
          [--paranoid] [--no-cache]\n\n\
          --algorithm is accepted everywhere --algo is\n\
          <graph> is DIMACS (.gr) or msfb binary — detected by content, not extension\n\
-         algorithms: prim kruskal boruvka bor-el bor-al bor-alm bor-fal bor-fal-filter bor-dense mst-bc\n            \
-         bor-write-min sf-hook filter-kruskal"
+         algorithms: prim kruskal boruvka bor-el bor-al bor-alm bor-fal bor-fal-filter mst-bc\n            \
+         bor-write-min filter-kruskal"
     );
     std::process::exit(2);
 }
@@ -121,22 +121,6 @@ fn load(path: &str) -> EdgeList {
         eprintln!("{e}");
         std::process::exit(2);
     })
-}
-
-/// Bor-Dense needs a Θ(n²) matrix; refuse oversized inputs with the sized
-/// error instead of letting construction abort mid-run. (Only the bound is
-/// tested here — nothing is allocated.)
-fn check_dense_fits(algo: Algorithm, g: &EdgeList) {
-    let n = g.num_vertices();
-    if algo == Algorithm::BorDense && n > msf_graph::dense::MAX_DENSE_VERTICES {
-        let e = msf_graph::dense::DenseSizeError {
-            n,
-            entries: (n as u128).checked_mul(n as u128),
-        };
-        eprintln!("bor-dense cannot run on this input: {e}");
-        eprintln!("hint: pick a sparse algorithm (bor-fal, bor-al, mst-bc, ...)");
-        std::process::exit(1);
-    }
 }
 
 fn main() {
@@ -424,7 +408,6 @@ fn trace_cmd(args: &[String]) {
         i += 1;
     }
     let g = load(path);
-    check_dense_fits(algo, &g);
     obs::set_enabled(true);
     let _ = obs::drain(); // discard anything recorded before this run
     let result = minimum_spanning_forest(&g, algo, &MsfConfig::with_threads(threads));
@@ -625,7 +608,6 @@ fn certify(args: &[String]) {
         i += 1;
     }
     let g = load(path);
-    check_dense_fits(algo, &g);
     let result = minimum_spanning_forest(&g, algo, &MsfConfig::with_threads(threads));
     match msf_core::certify::certify_msf_with(&g, &result, threads) {
         Ok(cert) => {
@@ -754,7 +736,6 @@ fn compute(args: &[String]) {
         i += 1;
     }
     let g = load(path);
-    check_dense_fits(algo, &g);
     if trace_path.is_some() {
         obs::set_enabled(true);
         let _ = obs::drain();

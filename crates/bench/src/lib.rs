@@ -1,6 +1,6 @@
 //! Shared harness for regenerating every table and figure of the paper's
-//! evaluation (§5). The `repro` binary prints them; the Criterion benches
-//! under `benches/` time the same kernels.
+//! evaluation (§5). The `repro` binary prints them; `msf bench` times the
+//! same kernels into a JSON report that `msf regress` compares.
 //!
 //! ## Reading the speedup numbers on this host
 //!

@@ -101,34 +101,6 @@ pub struct FuzzReport {
     pub failures: Vec<FuzzFailure>,
 }
 
-const ALGO_SLUGS: [(&str, Algorithm); 13] = [
-    ("prim", Algorithm::Prim),
-    ("kruskal", Algorithm::Kruskal),
-    ("boruvka", Algorithm::Boruvka),
-    ("bor-el", Algorithm::BorEl),
-    ("bor-al", Algorithm::BorAl),
-    ("bor-alm", Algorithm::BorAlm),
-    ("bor-fal", Algorithm::BorFal),
-    ("bor-fal-filter", Algorithm::BorFalFilter),
-    ("bor-dense", Algorithm::BorDense),
-    ("mst-bc", Algorithm::MstBc),
-    ("bor-write-min", Algorithm::BorWriteMin),
-    ("sf-hook", Algorithm::SfHook),
-    ("filter-kruskal", Algorithm::FilterKruskal),
-];
-
-fn slug_of(a: Algorithm) -> &'static str {
-    ALGO_SLUGS
-        .iter()
-        .find(|(_, algo)| *algo == a)
-        .map(|(s, _)| *s)
-        .expect("every algorithm has a slug")
-}
-
-fn algo_of(slug: &str) -> Option<Algorithm> {
-    ALGO_SLUGS.iter().find(|(s, _)| *s == slug).map(|(_, a)| *a)
-}
-
 /// The subject of one fuzz run: a real algorithm, or the planted saboteur.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Subject {
@@ -143,7 +115,7 @@ enum Subject {
 impl Subject {
     fn slug(self) -> &'static str {
         match self {
-            Subject::Real(a) => slug_of(a),
+            Subject::Real(a) => a.slug(),
             Subject::Injected => "injected",
         }
     }
@@ -506,7 +478,7 @@ pub fn load_corpus(dir: &Path) -> std::io::Result<Vec<CorpusCase>> {
 pub fn replay_corpus(dir: &Path) -> Result<usize, String> {
     let cases = load_corpus(dir).map_err(|e| format!("cannot load corpus: {e}"))?;
     for case in &cases {
-        let subjects: Vec<Subject> = match algo_of(&case.algo) {
+        let subjects: Vec<Subject> = match Algorithm::parse(&case.algo) {
             Some(a) => vec![Subject::Real(a)],
             None => Algorithm::ALL.iter().map(|&a| Subject::Real(a)).collect(),
         };
@@ -620,13 +592,5 @@ mod tests {
             "missing header must be rejected"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn slugs_roundtrip() {
-        for a in Algorithm::ALL {
-            assert_eq!(algo_of(slug_of(a)), Some(a));
-        }
-        assert_eq!(algo_of("injected"), None);
     }
 }

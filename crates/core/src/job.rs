@@ -249,9 +249,6 @@ mod tests {
             let round = boruvka_round(&g);
             let want = reference(&g);
             for algo in Algorithm::ALL {
-                if algo == Algorithm::BorDense && g.num_vertices() > 2_000 {
-                    continue;
-                }
                 let got = finish_from_round(&g, &round, algo, &MsfConfig::with_threads(4));
                 assert_eq!(got.edges, want.edges, "{algo} diverged via the round cache");
                 assert_eq!(got.components, want.components);

@@ -13,7 +13,6 @@
 //! | Bor-FAL (flexible adjacency list)       | 2.3 | [`par::bor_fal`] |
 //! | MST-BC (concurrent Prim + Borůvka hybrid)| 4  | [`par::mst_bc`] |
 //! | Bor-WriteMin (lock-free write-min filter-Borůvka) | — | [`par::bor_write_min`] |
-//! | SF-Hook (CAS-hook front-end + cycle filter)       | — | [`par::sf_hook`] |
 //! | Filter-Kruskal (sampling pivot + union-find filter)| — | [`par::filter_kruskal`] |
 //!
 //! Every algorithm solves the minimum spanning **forest** problem and, with
@@ -54,20 +53,12 @@ pub enum Algorithm {
     /// Bor-FAL behind sampling + cycle-property edge filtering (the
     /// extension argued for in the paper's §3 analysis).
     BorFalFilter,
-    /// Parallel Borůvka on an adjacency matrix (JáJá's dense compact-graph;
-    /// the representation behind the earlier Dehne & Götz study). Θ(n²)
-    /// memory — small dense inputs only.
-    BorDense,
     /// The new hybrid algorithm (concurrent Prim growth + contraction).
     MstBc,
     /// Lock-free filter-Borůvka: per-endpoint atomic write-min races under
     /// the packed `(weight bits, edge id)` key, recursing on the filtered
     /// (relabel-only, multi-edges kept) edge list.
     BorWriteMin,
-    /// Lock-free spanning-forest front-end: CAS-hooks each supervertex's
-    /// minimum edge into a concurrent union-find, then finishes with the
-    /// sampling + cycle-property filter over the reduced graph.
-    SfHook,
     /// Sampling filter-Kruskal: pivot-partition the edge list, recurse on
     /// the light side, prune the heavy side through a concurrent union-find
     /// (the cycle property again), recurse on the survivors.
@@ -76,7 +67,7 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// All algorithms, sequential baselines first.
-    pub const ALL: [Algorithm; 13] = [
+    pub const ALL: [Algorithm; 11] = [
         Algorithm::Prim,
         Algorithm::Kruskal,
         Algorithm::Boruvka,
@@ -85,23 +76,20 @@ impl Algorithm {
         Algorithm::BorAlm,
         Algorithm::BorFal,
         Algorithm::BorFalFilter,
-        Algorithm::BorDense,
         Algorithm::MstBc,
         Algorithm::BorWriteMin,
-        Algorithm::SfHook,
         Algorithm::FilterKruskal,
     ];
 
     /// The parallel algorithms compared in the paper's Figs. 4–6, plus the
     /// lock-free speed contenders adjudicated against them.
-    pub const PARALLEL: [Algorithm; 8] = [
+    pub const PARALLEL: [Algorithm; 7] = [
         Algorithm::BorEl,
         Algorithm::BorAl,
         Algorithm::BorAlm,
         Algorithm::BorFal,
         Algorithm::MstBc,
         Algorithm::BorWriteMin,
-        Algorithm::SfHook,
         Algorithm::FilterKruskal,
     ];
 
@@ -116,10 +104,8 @@ impl Algorithm {
             Algorithm::BorAlm => "bor-alm",
             Algorithm::BorFal => "bor-fal",
             Algorithm::BorFalFilter => "bor-fal-filter",
-            Algorithm::BorDense => "bor-dense",
             Algorithm::MstBc => "mst-bc",
             Algorithm::BorWriteMin => "bor-write-min",
-            Algorithm::SfHook => "sf-hook",
             Algorithm::FilterKruskal => "filter-kruskal",
         }
     }
@@ -141,10 +127,8 @@ impl Algorithm {
             Algorithm::BorAlm => "Bor-ALM",
             Algorithm::BorFal => "Bor-FAL",
             Algorithm::BorFalFilter => "Bor-FAL+filter",
-            Algorithm::BorDense => "Bor-Dense",
             Algorithm::MstBc => "MST-BC",
             Algorithm::BorWriteMin => "Bor-WriteMin",
-            Algorithm::SfHook => "SF-Hook",
             Algorithm::FilterKruskal => "Filter-Kruskal",
         }
     }
@@ -176,7 +160,7 @@ pub struct MsfConfig {
     pub seed: u64,
     /// Bor-EL: replace the comparison sample sort in compact-graph with a
     /// comparison-free radix grouping over packed endpoint pairs (the
-    /// counting-sort ablation of bench `ablation_compact`).
+    /// compact-kernel ablation of EXPERIMENTS.md).
     pub radix_compact: bool,
 }
 
@@ -284,10 +268,8 @@ fn dispatch(g: &EdgeList, algorithm: Algorithm, cfg: &MsfConfig) -> MsfResult {
         Algorithm::BorAlm => par::bor_al::msf(g, cfg, par::bor_al::AllocPolicy::ThreadArena),
         Algorithm::BorFal => par::bor_fal::msf(g, cfg),
         Algorithm::BorFalFilter => par::filter::msf(g, cfg),
-        Algorithm::BorDense => par::bor_dense::msf(g, cfg),
         Algorithm::MstBc => par::mst_bc::msf(g, cfg),
         Algorithm::BorWriteMin => par::bor_write_min::msf(g, cfg),
-        Algorithm::SfHook => par::sf_hook::msf(g, cfg),
         Algorithm::FilterKruskal => par::filter_kruskal::msf(g, cfg),
     }
 }
@@ -306,4 +288,18 @@ pub fn best_sequential(g: &EdgeList) -> (Algorithm, MsfResult) {
                 .expect("finite timings")
         })
         .expect("non-empty candidate list")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slugs_roundtrip() {
+        for a in Algorithm::ALL {
+            assert_eq!(Algorithm::parse(a.slug()), Some(a));
+            assert_eq!(Algorithm::parse(&a.slug().to_ascii_uppercase()), Some(a));
+        }
+        assert_eq!(Algorithm::parse("injected"), None);
+    }
 }

@@ -83,9 +83,8 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
     let mut stats = RunStats::new("Bor-WriteMin", p);
 
     // Setup. The input list already carries no self-loops, so round 0
-    // races over it in place; setup only charges the modeled cost of an
-    // undirected copy (one read per edge per block — the formula
-    // `collect_undirected` charges).
+    // races over it in place; setup only charges the modeled cost of one
+    // read per edge, split over the `p` blocks.
     let setup = StepSpan::begin(StepKind::Setup, 0);
     let mut setup_meters = vec![WorkMeter::new(); p];
     let all = g.edges();

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use msf_graph::{Edge, EdgeList, OrderedWeight};
+use msf_graph::{Edge, OrderedWeight};
 use msf_primitives::atomic::{packed_edge_key, MinSlots};
 use msf_primitives::connectivity::{pointer_jump, relabel_consecutive};
 use msf_primitives::cost::WorkMeter;
@@ -134,8 +134,8 @@ pub(crate) fn sort_and_dedup(edges: Vec<Edge>, p: usize, meters: &mut [WorkMeter
 /// `(u, v)` endpoint pair with a comparison-free LSD radix sort, then keep
 /// each group's minimum-key edge with one linear scan. Produces exactly the
 /// same output (sorted by source then target, one minimum edge per pair);
-/// exchanged for the sample sort via `MsfConfig::radix_compact` and
-/// measured in bench `ablation_sort_kernels` / `ablation_compact`.
+/// exchanged for the sample sort via `MsfConfig::radix_compact` (the
+/// compact-kernel ablation of EXPERIMENTS.md).
 pub(crate) fn radix_group_and_dedup(
     mut edges: Vec<Edge>,
     p: usize,
@@ -223,35 +223,6 @@ pub(crate) fn segmented_find_min(
         })
         .collect();
     let mut out = Vec::with_capacity(n);
-    for (t, (part, m)) in parts.into_iter().enumerate() {
-        meters[t] = meters[t] + m;
-        out.extend_from_slice(&part);
-    }
-    out
-}
-
-/// Copy the undirected edge list, dropping self-loops, in `p` metered
-/// blocks — the one-time setup pass of the lock-free contenders, which
-/// iterate over the *undirected* m-entry list (no mirroring, no sorting).
-pub(crate) fn collect_undirected(g: &EdgeList, p: usize, meters: &mut [WorkMeter]) -> Vec<Edge> {
-    let all = g.edges();
-    let p = p.max(1);
-    let parts: Vec<(Vec<Edge>, WorkMeter)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = msf_primitives::block_range(all.len(), p, t);
-            let mut meter = WorkMeter::new();
-            let mut out = Vec::with_capacity(r.len());
-            for e in &all[r] {
-                meter.mem(1);
-                if e.u != e.v {
-                    out.push(*e);
-                }
-            }
-            (out, meter)
-        })
-        .collect();
-    let mut out = Vec::with_capacity(all.len());
     for (t, (part, m)) in parts.into_iter().enumerate() {
         meters[t] = meters[t] + m;
         out.extend_from_slice(&part);

@@ -1,8 +1,7 @@
 //! The four parallel Borůvka variants (§2), the new MST-BC hybrid (§4), and
-//! the lock-free speed contenders (Bor-WriteMin, SF-Hook, Filter-Kruskal).
+//! the lock-free speed contenders (Bor-WriteMin, Filter-Kruskal).
 
 pub mod bor_al;
-pub mod bor_dense;
 pub mod bor_el;
 pub mod bor_fal;
 pub mod bor_write_min;
@@ -10,4 +9,3 @@ pub(crate) mod common;
 pub mod filter;
 pub mod filter_kruskal;
 pub mod mst_bc;
-pub mod sf_hook;

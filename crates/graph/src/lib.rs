@@ -29,7 +29,6 @@
 
 pub mod adjacency;
 pub mod binfmt;
-pub mod dense;
 pub mod edge;
 pub mod edgelist;
 pub mod flexadj;

@@ -36,7 +36,6 @@ mod deque;
 mod job;
 mod latch;
 mod registry;
-pub mod slots;
 pub mod team;
 mod telemetry;
 
@@ -44,7 +43,6 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 pub use barrier::{BarrierPoisoned, SenseBarrier};
-pub use slots::RankSlots;
 pub use team::{run_team, run_team_collect};
 pub use telemetry::{publish_metrics, PoolStats, PoolWorkerStats};
 
@@ -307,60 +305,5 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 50 * p);
-    }
-
-    #[test]
-    fn rank_slots_publish_and_fold_in_rank_order() {
-        let slots: RankSlots<u64> = RankSlots::new(5);
-        slots.put(3, 30);
-        slots.put(1, 10);
-        assert_eq!(slots.get(1), 10);
-        assert_eq!(slots.get(3), 30);
-        let folded = slots.fold(Vec::new(), |mut acc, v| {
-            acc.push(v);
-            acc
-        });
-        assert_eq!(folded, vec![10, 30]);
-        slots.reset();
-        assert_eq!(slots.fold(0u64, |a, v| a + v), 0);
-    }
-
-    /// Loom-style interleaving exercise: writer ranks publish multi-word
-    /// values while rank 0 races `fold` against them, for many rounds (a
-    /// scheduler fuzz — real loom is unavailable offline). Every value the
-    /// reader observes must be internally consistent, i.e. publication is
-    /// all-or-nothing, never torn.
-    #[test]
-    fn rank_slots_interleaved_publication_is_never_torn() {
-        pool_width_4();
-        let p = 4;
-        for round in 0..200u64 {
-            let slots: RankSlots<[u64; 3]> = RankSlots::new(p);
-            let barrier = SenseBarrier::new(p);
-            run_team(p, &|rank| {
-                let base = round * 1_000 + rank as u64;
-                barrier.wait(); // start gun
-                if rank == 0 {
-                    // Busy-poll until all writers are visible, checking
-                    // consistency of everything seen along the way.
-                    loop {
-                        let seen = slots.fold(0usize, |acc, v| {
-                            assert_eq!(v[0] + 1, v[1], "torn publication");
-                            assert_eq!(v[0] + 2, v[2], "torn publication");
-                            acc + 1
-                        });
-                        if seen == p - 1 {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                } else {
-                    slots.put(rank, [base, base + 1, base + 2]);
-                }
-            });
-            for writer in 1..p {
-                assert_eq!(slots.get(writer)[0], round * 1_000 + writer as u64);
-            }
-        }
     }
 }

@@ -1,6 +1,7 @@
 //! Concurrent union–find with CAS hooking — the gbbs `nd.h` idiom.
 //!
-//! A lock-free disjoint-set forest for spanning-forest front-ends. Linking
+//! A lock-free disjoint-set forest, shared by Filter-Kruskal's base case
+//! (which unites) and its heavy-edge filter (which queries). Linking
 //! follows the gbbs discipline that makes plain (non-CAS) path compression
 //! safe:
 //!

@@ -7,7 +7,8 @@
 //! [`sv`] provides a Shiloach–Vishkin-style parallel algorithm.
 //! [`seq`] holds sequential reference implementations used for verification
 //! and as the small-problem fallback. [`concurrent`] is the lock-free
-//! CAS-hooking union–find behind the SF-Hook spanning-forest front-end.
+//! CAS-hooking union–find behind Filter-Kruskal's base case and heavy-edge
+//! filter.
 
 pub mod concurrent;
 pub mod pointer_jump;

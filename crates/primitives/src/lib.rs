@@ -12,14 +12,14 @@
 //!   chase-lev-style deques behind the `rayon` facade, leasable team
 //!   threads behind [`team::SmpTeam`], sense-reversing barriers, and the
 //!   `MSF_SEQUENTIAL` escape hatch.
-//! * [`prefix`] — sequential and parallel prefix sums and compaction.
+//! * [`prefix`] — the sequential exclusive scan and parallel compaction.
 //! * [`csr`] — compressed sparse rows by a `p`-block counting sort, the
 //!   shared builder of every adjacency and grouping laid out in parallel.
 //! * [`sort`] — insertion sort, non-recursive merge sort, and the parallel
 //!   sample sort used by the Bor-EL compact-graph step.
 //! * [`connectivity`] — pointer-jumping components for Borůvka hook forests,
-//!   Shiloach–Vishkin components for arbitrary edge lists, and a lock-free
-//!   CAS-hooking union–find for spanning-forest front-ends.
+//!   Shiloach–Vishkin components for arbitrary edge lists, and the lock-free
+//!   CAS-hooking union–find of Filter-Kruskal.
 //! * [`atomic`] — lock-free atomic write-min slots (the parlaylib race
 //!   replacing barriered segmented find-min), with the order-isomorphic
 //!   `(weight bits, edge id)` packed key.

@@ -1,14 +1,14 @@
 //! Prefix sums (scans) and scan-based compaction.
 //!
 //! Borůvka's `compact-graph` step merges runs of duplicate edges with a
-//! prefix-sum pass (paper §2.1); the parallel variants here follow the
-//! standard chunked two-pass scheme: each thread scans its block, an
-//! exclusive scan over the block totals produces per-block offsets, and a
-//! second pass rewrites each block with its offset added.
+//! prefix-sum pass (paper §2.1); [`par_filter`] follows the standard chunked
+//! two-pass scheme: each thread counts its block's survivors, an exclusive
+//! scan over the block counts sizes the output, and a second pass copies
+//! each block's survivors out in order.
 
 use rayon::prelude::*;
 
-/// Minimum input length before the parallel scans fall back to the
+/// Minimum input length before the parallel kernels fall back to the
 /// sequential code path; below this the fork/join overhead dominates.
 pub const PAR_THRESHOLD: usize = 1 << 14;
 
@@ -23,44 +23,6 @@ pub fn exclusive_scan(data: &mut [usize]) -> usize {
         acc += v;
     }
     acc
-}
-
-/// In-place sequential inclusive prefix sum. Returns the total.
-pub fn inclusive_scan(data: &mut [usize]) -> usize {
-    let mut acc = 0usize;
-    for x in data.iter_mut() {
-        acc += *x;
-        *x = acc;
-    }
-    acc
-}
-
-/// In-place parallel exclusive prefix sum over `chunks` blocks.
-/// Returns the total.
-pub fn par_exclusive_scan(data: &mut [usize], chunks: usize) -> usize {
-    let n = data.len();
-    if n < PAR_THRESHOLD || chunks <= 1 {
-        return exclusive_scan(data);
-    }
-    let chunk = n.div_ceil(chunks);
-    // Pass 1: per-block totals.
-    let mut totals: Vec<usize> = data
-        .par_chunks(chunk)
-        .map(|block| block.iter().sum())
-        .collect();
-    let total = exclusive_scan(&mut totals);
-    // Pass 2: scan each block seeded with its offset.
-    data.par_chunks_mut(chunk)
-        .zip(totals.par_iter())
-        .for_each(|(block, &offset)| {
-            let mut acc = offset;
-            for x in block.iter_mut() {
-                let v = *x;
-                *x = acc;
-                acc += v;
-            }
-        });
-    total
 }
 
 /// Parallel compaction: keep the elements of `data` whose flag is set,
@@ -105,36 +67,6 @@ pub fn par_filter<T: Copy + Send + Sync>(data: &[T], keep: &[bool], chunks: usiz
     out
 }
 
-/// Segmented minimum: given sorted segment boundaries (`seg_starts` holding
-/// the first index of each segment plus a final sentinel equal to
-/// `values.len()`), compute for each segment the index of its minimum element
-/// under the provided key extractor.
-pub fn segmented_argmin<T, K, F>(values: &[T], seg_starts: &[usize], key: F) -> Vec<usize>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    assert!(seg_starts.last().is_some_and(|&s| s == values.len()));
-    (0..seg_starts.len() - 1)
-        .into_par_iter()
-        .map(|s| {
-            let (lo, hi) = (seg_starts[s], seg_starts[s + 1]);
-            assert!(lo < hi, "segments must be non-empty");
-            let mut best = lo;
-            let mut best_key = key(&values[lo]);
-            for (i, v) in values.iter().enumerate().take(hi).skip(lo + 1) {
-                let k = key(v);
-                if k < best_key {
-                    best = i;
-                    best_key = k;
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,28 +79,6 @@ mod tests {
         assert_eq!(total, 14);
         let mut empty: Vec<usize> = vec![];
         assert_eq!(exclusive_scan(&mut empty), 0);
-    }
-
-    #[test]
-    fn inclusive_scan_basics() {
-        let mut v = vec![3, 1, 4];
-        let total = inclusive_scan(&mut v);
-        assert_eq!(v, vec![3, 4, 8]);
-        assert_eq!(total, 8);
-    }
-
-    #[test]
-    fn par_scan_matches_sequential() {
-        let n = PAR_THRESHOLD + 137;
-        let base: Vec<usize> = (0..n).map(|i| (i * 2654435761) % 17).collect();
-        let mut seq = base.clone();
-        let seq_total = exclusive_scan(&mut seq);
-        for chunks in [2, 3, 8] {
-            let mut par = base.clone();
-            let par_total = par_exclusive_scan(&mut par, chunks);
-            assert_eq!(par_total, seq_total);
-            assert_eq!(par, seq);
-        }
     }
 
     #[test]
@@ -186,21 +96,5 @@ mod tests {
         assert_eq!(par_filter(&data[..100], &keep[..100], 4).len(), {
             keep[..100].iter().filter(|&&k| k).count()
         });
-    }
-
-    #[test]
-    fn segmented_argmin_finds_minima() {
-        let values = vec![5.0f64, 2.0, 7.0, 1.0, 9.0, 3.0];
-        let segs = vec![0, 2, 5, 6];
-        let mins = segmented_argmin(&values, &segs, |&x| x);
-        assert_eq!(mins, vec![1, 3, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn segmented_argmin_rejects_empty_segment() {
-        let values = vec![1.0f64];
-        let segs = vec![0, 0, 1];
-        segmented_argmin(&values, &segs, |&x| x);
     }
 }

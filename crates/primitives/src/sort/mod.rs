@@ -7,20 +7,18 @@
 
 mod insertion;
 mod merge;
-mod par_merge;
 mod radix;
 mod sample;
 
 pub use insertion::insertion_sort_by;
 pub use merge::merge_sort_by;
-pub use par_merge::par_merge_sort_by_key;
 pub use radix::radix_sort_by_key;
 pub use sample::{sample_sort_by_key, SampleSortConfig};
 
 /// List length at or below which [`two_level_sort_by`] prefers insertion
 /// sort. Profiling in the paper showed 80% of adjacency lists of a 1M-vertex
 /// 6M-edge random graph hold 1–100 elements; 32 is the crossover we measured
-/// for the edge tuples sorted here (see bench `ablation_sort_threshold`).
+/// for the edge tuples sorted here (EXPERIMENTS.md, "Ablations").
 pub const INSERTION_THRESHOLD: usize = 32;
 
 /// The paper's two-level sequential sort: insertion sort for short lists,

@@ -33,7 +33,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use msf_pool::{BarrierPoisoned, RankSlots, SenseBarrier};
+use msf_pool::{BarrierPoisoned, SenseBarrier};
 
 /// Handle given to every member of a running team.
 pub struct TeamCtx<'a> {
@@ -181,63 +181,6 @@ where
         .collect()
 }
 
-/// Typed cross-member communication for an [`SmpTeam`] phase: each rank
-/// deposits a value, a barrier separates writers from readers, and any rank
-/// folds the deposits. Mirrors the reduce/broadcast primitives of the
-/// SIMPLE library the paper's implementation was built on.
-///
-/// Rank-exclusive writes make a mutex pure overhead on this hot barrier
-/// path, so the slots are cache-line-padded [`msf_pool::RankSlots`]: a
-/// release-store publishes each deposit, an acquire-load consumes it, and
-/// the phase barrier provides the write→read ordering exactly as before.
-///
-/// ```
-/// use msf_primitives::team::{SmpTeam, TeamReducer};
-/// let team = SmpTeam::new(4);
-/// let red = TeamReducer::<u64>::new(4);
-/// let sums = team.run(|ctx| {
-///     red.put(ctx.rank, ctx.rank as u64 + 1);
-///     ctx.barrier();
-///     red.fold(0, |a, b| a + b)
-/// });
-/// assert_eq!(sums, vec![10, 10, 10, 10]);
-/// ```
-pub struct TeamReducer<T> {
-    slots: RankSlots<T>,
-}
-
-impl<T: Copy + Send> TeamReducer<T> {
-    /// Scratch for a team of width `p`.
-    pub fn new(p: usize) -> Self {
-        TeamReducer {
-            slots: RankSlots::new(p),
-        }
-    }
-
-    /// Deposit this rank's contribution. Call before the phase barrier.
-    pub fn put(&self, rank: usize, value: T) {
-        self.slots.put(rank, value);
-    }
-
-    /// Read rank `r`'s deposit (panics if it has not been put). Call after
-    /// the phase barrier.
-    pub fn get(&self, rank: usize) -> T {
-        self.slots.get(rank)
-    }
-
-    /// Fold all deposits in rank order (missing deposits are skipped). Call
-    /// after the phase barrier.
-    pub fn fold(&self, init: T, f: impl Fn(T, T) -> T) -> T {
-        self.slots.fold(init, f)
-    }
-
-    /// Clear all slots for reuse in a later phase (typically done by one
-    /// rank, followed by a barrier).
-    pub fn reset(&self) {
-        self.slots.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,50 +268,5 @@ mod tests {
             Some("rank 2 exploded"),
             "original payload must win over BarrierPoisoned"
         );
-    }
-
-    #[test]
-    fn reducer_folds_min_and_broadcast() {
-        pool();
-        let team = SmpTeam::new(3);
-        let red = TeamReducer::<(u64, usize)>::new(3);
-        // Each rank proposes (key, rank); everyone learns the argmin.
-        let winners = team.run(|ctx| {
-            let key = [5u64, 2, 9][ctx.rank];
-            red.put(ctx.rank, (key, ctx.rank));
-            ctx.barrier();
-            red.fold((u64::MAX, usize::MAX), |a, b| if b.0 < a.0 { b } else { a })
-        });
-        assert_eq!(winners, vec![(2, 1); 3]);
-    }
-
-    #[test]
-    fn reducer_reuse_across_phases() {
-        pool();
-        let team = SmpTeam::new(2);
-        let red = TeamReducer::<u32>::new(2);
-        let out = team.run(|ctx| {
-            // Phase 1.
-            red.put(ctx.rank, 1);
-            ctx.barrier();
-            let s1 = red.fold(0, |a, b| a + b);
-            ctx.barrier();
-            if ctx.rank == 0 {
-                red.reset();
-            }
-            ctx.barrier();
-            // Phase 2.
-            red.put(ctx.rank, 10);
-            ctx.barrier();
-            s1 + red.fold(0, |a, b| a + b)
-        });
-        assert_eq!(out, vec![22, 22]);
-    }
-
-    #[test]
-    fn reducer_get_reads_specific_rank() {
-        let red = TeamReducer::<i32>::new(2);
-        red.put(0, -7);
-        assert_eq!(red.get(0), -7);
     }
 }

@@ -739,6 +739,15 @@ mod tests {
             Response::Error { message } => assert!(message.contains("unknown graph")),
             other => panic!("expected error, got {other:?}"),
         }
+        for gone in ["bor-dense", "sf-hook"] {
+            req.algorithm = gone.into();
+            match server.handle(&req) {
+                Response::Error { message } => {
+                    assert_eq!(message, format!("unknown algorithm '{gone}'"))
+                }
+                other => panic!("expected error, got {other:?}"),
+            }
+        }
         assert_eq!(
             server.hard_failures(),
             0,

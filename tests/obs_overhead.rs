@@ -161,7 +161,7 @@ fn disabled_cas_retry_counters_stay_under_the_one_percent_guard() {
     let _l = lock();
     msf_pool::force_width(4);
     let g = mesh();
-    let contenders = [Algorithm::BorWriteMin, Algorithm::SfHook];
+    let contenders = [Algorithm::BorWriteMin, Algorithm::FilterKruskal];
     let run_both = |g: &EdgeList| {
         for a in contenders {
             let _ = minimum_spanning_forest(g, a, &MsfConfig::with_threads(4));

@@ -89,12 +89,7 @@ fn overlay_with_dominated_layer_is_a_noop() {
     let combined = overlay(&[&base, &heavy]);
     let cfg = MsfConfig::with_threads(4);
     let r_base = minimum_spanning_forest(&base, Algorithm::BorFal, &cfg);
-    for algo in [
-        Algorithm::BorFal,
-        Algorithm::BorAl,
-        Algorithm::MstBc,
-        Algorithm::BorDense,
-    ] {
+    for algo in [Algorithm::BorFal, Algorithm::BorAl, Algorithm::MstBc] {
         let r = minimum_spanning_forest(&combined, algo, &cfg);
         assert!(
             (r.total_weight - r_base.total_weight).abs() < 1e-9,

@@ -54,16 +54,10 @@ fn every_parallel_algorithm_emits_a_well_nested_trace() {
         trace
             .validate_nesting()
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
-        // Exactly one whole-run span — except SF-Hook, whose filter finish
-        // nests inner runs (sample forest + survivors) inside the outer one.
-        // At least one span per Borůvka step kind either way (MST-BC also
-        // uses the find-min/connect/compact taxonomy for its
-        // grow/contract/rebuild phases).
-        if algo == Algorithm::SfHook {
-            assert!(trace.count(SpanKind::Run, Phase::End) >= 1, "{algo}");
-        } else {
-            assert_eq!(trace.count(SpanKind::Run, Phase::End), 1, "{algo}");
-        }
+        // Exactly one whole-run span, and at least one span per Borůvka
+        // step kind (MST-BC also uses the find-min/connect/compact taxonomy
+        // for its grow/contract/rebuild phases).
+        assert_eq!(trace.count(SpanKind::Run, Phase::End), 1, "{algo}");
         if algo == Algorithm::FilterKruskal {
             // Filter-Kruskal has no connect-components phase, and this
             // mesh is below its sequential base-case cutoff — the whole
@@ -87,14 +81,6 @@ fn step_span_payloads_sum_to_the_iteration_stats() {
     let _l = lock();
     let g = mesh();
     for algo in Algorithm::PARALLEL {
-        if algo == Algorithm::SfHook {
-            // SF-Hook's filter finish runs nested MSF computations whose
-            // iteration spans are deliberately not part of the outer run's
-            // stats; the exact span/stats reconciliation below does not
-            // apply. Its hook rounds are covered by sf_hook_front_end_
-            // rounds_reconcile_with_stats.
-            continue;
-        }
         if algo == Algorithm::FilterKruskal {
             // Filter-Kruskal records one stats row per recursion *depth*
             // (several spans fold into one row) and emits no iteration
@@ -148,27 +134,6 @@ fn chrome_export_is_valid_json_with_named_spans() {
     // The text summary names every kind that appeared.
     let summary = trace.summary();
     assert!(summary.contains("find-min"), "{summary}");
-}
-
-#[test]
-fn sf_hook_front_end_rounds_reconcile_with_stats() {
-    let _l = lock();
-    let g = mesh();
-    let (trace, r) = traced_run(&g, Algorithm::SfHook, 2);
-    trace.validate_nesting().expect("nesting");
-    let stats = &r.stats;
-    // The front-end contributes exactly its hook rounds to the stats...
-    assert!(!stats.iterations.is_empty());
-    // ...while the trace additionally holds the nested filter/inner-run
-    // iterations, so the span count can only be larger.
-    assert!(trace.count(SpanKind::Iteration, Phase::End) >= stats.iterations.len());
-    // Every hook round recorded all three step breakdowns.
-    for it in &stats.iterations {
-        for step in [&it.find_min, &it.connect, &it.compact] {
-            assert!(step.modeled_max > 0);
-            assert!(step.modeled_total >= step.modeled_max);
-        }
-    }
 }
 
 #[test]
