@@ -21,8 +21,8 @@
 //! between the two; `msf generate rmat`/`powerlaw` stream straight to
 //! binary when the output path ends in `.msfb`. The forest output lists
 //! one selected input edge per line as `u v w`.
-//! `certify` proves a computed forest minimum from the cut/cycle properties
-//! alone (no reference run); `fuzz` differential-tests the whole algorithm
+//! `certify` proves a computed forest minimum from the cycle property alone
+//! (no reference run); `fuzz` differential-tests the whole algorithm
 //! portfolio on generated graphs, shrinking any failure to a minimal DIMACS
 //! reproducer in the corpus directory; `trace` runs one algorithm with the
 //! observability rings on and exports a `chrome://tracing` / Perfetto JSON
@@ -348,12 +348,11 @@ fn client_cmd(args: &[String]) {
             if r.certified { ", certified" } else { "" }
         ),
         Response::Certified(r) => println!(
-            "certified: {} forest edges in {} trees, {} cycle queries, {} cut checks, \
-             checksum {:016x}, {:.3} ms",
+            "certified: {} forest edges in {} trees, {} cycle queries, checksum {:016x}, \
+             {:.3} ms",
             r.forest_edges,
             r.trees,
             r.cycle_queries,
-            r.cut_checks,
             r.checksum,
             r.wall_ns as f64 / 1e6
         ),
@@ -613,11 +612,10 @@ fn certify(args: &[String]) {
         Ok(cert) => {
             eprintln!(
                 "{algo}: certificate accepted — {} forest edges in {} trees, {} cycle-property \
-                 queries, {} cut-property checks, modeled certification time {}",
+                 queries, modeled certification time {}",
                 cert.forest_edges,
                 cert.trees,
                 cert.cycle_queries,
-                cert.cut_checks,
                 cert.modeled_time()
             );
         }
@@ -1167,7 +1165,7 @@ fn bench(args: &[String]) {
                 );
             }
             // --certify proves the recorded forest minimum from the
-            // cut/cycle properties (widest sweep point), so the committed
+            // cycle property (widest sweep point), so the committed
             // trajectory numbers are certified, not just recorded.
             let certified = do_certify && {
                 let (m, _) = sweep.last().expect("sweep is never empty");

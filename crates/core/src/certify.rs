@@ -5,43 +5,43 @@
 //! strong check with one blind spot: a bug shared by the reference and the
 //! algorithm under test (the `(weight, id)` tie-break conventions, the
 //! dedup rules of the contract passes) self-certifies. This module closes
-//! the gap with a certificate derived *only* from the optimality
-//! characterizations of the MSF itself:
+//! the gap with one certificate derived *only* from an optimality
+//! characterization of the MSF itself:
 //!
 //! * **structure** — every claimed edge id is valid and distinct, the edge
-//!   set is acyclic, and it spans (tree count == component count, with the
-//!   component count recomputed by union–find over the raw input);
+//!   set is acyclic, and it spans: no input edge joins two of its trees;
 //! * **cycle property** — every non-forest edge is strictly heavier (in the
 //!   `(weight, id)` total order) than the maximum edge on the forest path
 //!   between its endpoints, checked by O(log d) queries against a
-//!   [`PathMaxForest`] built over the claimed forest (d is its BFS depth);
-//! * **cut property** — every forest edge is the minimum edge crossing the
-//!   cut it defines: no non-forest edge whose forest cycle contains `f` may
-//!   be lighter than `f`, checked by path-cover min-updates over the same
-//!   forest, rooted a second time by an independent traversal.
+//!   [`PathMaxForest`] built over the claimed forest (d is its BFS depth).
 //!
-//! Either optimality property alone (plus structure) already implies the
-//! claimed forest is THE unique MSF; checking both from independently built
-//! data structures means a single bugged traversal cannot vouch for itself.
-//! Total cost is O((n + m) log d). The two certificates run as the two
-//! halves of one `rayon::join`, and a cycle violation takes precedence over
-//! a cut violation, so the verdict is the same at every p. The
-//! cycle-property queries are read-only and run as `p` block-partitioned
-//! parallel tasks, each carrying a [`WorkMeter`] so certification shows up
-//! in the modeled-cost accounting like any other phase.
+//! A spanning forest with the cycle property is THE unique MSF under the
+//! total order. The cut property needs no pass of its own: a non-forest
+//! edge e crosses the cut that a forest edge f defines exactly when f lies
+//! on e's forest path, so e's query already compares e with every such f,
+//! and e lighter than f breaks both properties at once. A cut-side check
+//! over the same pairs could never reject a spanning forest that the cycle
+//! side accepts.
+//!
+//! The same queries decide spanning. An acyclic claimed forest has
+//! n − |F| trees, and it fails to span exactly when some non-forest edge
+//! joins two of them, which is a query that finds no forest path. Only then
+//! is the input's component count recomputed, for the
+//! [`CertificateViolation::NotSpanning`] report. The queries are read-only
+//! and run as `p` block-partitioned parallel tasks, each carrying a
+//! [`WorkMeter`] so certification shows up in the modeled-cost accounting
+//! like any other phase. Total cost is O((n + m) log d). Verdicts come in a
+//! fixed order (structure, spanning, reported components, reported weight,
+//! then the cycle property at the lowest offending edge id), so a fixed
+//! input gets the same verdict at every p.
 
-use msf_graph::pathmax::{bit_len, lifting_levels, PathMaxForest};
-use msf_graph::{EdgeKey, EdgeList, OrderedWeight};
+use msf_graph::pathmax::PathMaxForest;
+use msf_graph::{EdgeKey, EdgeList};
 use msf_primitives::cost::WorkMeter;
 use msf_primitives::unionfind::UnionFind;
 use rayon::prelude::*;
 
 use crate::MsfResult;
-
-const NONE: u32 = u32::MAX;
-
-/// Smallest per-task vertex range of a parallel level build.
-const LEVEL_GRAIN: usize = 4096;
 
 /// A named reason a claimed forest is not the minimum spanning forest.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,18 +92,10 @@ pub enum CertificateViolation {
         non_forest: u32,
         /// Its total-order key.
         non_forest_key: EdgeKey,
-        /// The maximum key on the forest path between its endpoints.
+        /// The maximum key on the forest path between its endpoints. Its id
+        /// names the forest edge that `non_forest` should replace:
+        /// `non_forest` crosses that edge's cut and is lighter.
         path_max: EdgeKey,
-    },
-    /// Cut property broken: a forest edge is not the minimum edge crossing
-    /// the cut its removal defines.
-    CutProperty {
-        /// The offending forest edge.
-        forest: u32,
-        /// Its total-order key.
-        forest_key: EdgeKey,
-        /// A strictly lighter non-forest edge crossing the same cut.
-        lighter_crossing: u32,
     },
 }
 
@@ -142,18 +134,9 @@ impl std::fmt::Display for CertificateViolation {
             } => write!(
                 f,
                 "cycle property violated: non-forest edge {non_forest} (key {non_forest_key:?}) \
-                 is not the maximum of its cycle (path max {path_max:?}) — the forest is not \
-                 minimum"
-            ),
-            CertificateViolation::CutProperty {
-                forest,
-                forest_key,
-                lighter_crossing,
-            } => write!(
-                f,
-                "cut property violated: forest edge {forest} (key {forest_key:?}) is not the \
-                 minimum across its cut — non-forest edge {lighter_crossing} crosses it and is \
-                 lighter"
+                 is lighter than forest edge {} (key {path_max:?}), the maximum of the cycle it \
+                 closes — the forest is not minimum",
+                path_max.id
             ),
         }
     }
@@ -169,7 +152,11 @@ pub struct Certificate {
     pub forest_edges: usize,
     /// Non-forest edges that passed the cycle-property query.
     pub cycle_queries: usize,
-    /// Forest edges that passed the cut-property check.
+    /// Forest edges proved the minimum edge across their cut. Derived, not
+    /// counted: the cycle-property queries test every (forest edge,
+    /// crossing non-forest edge) pair, so on acceptance this equals
+    /// `forest_edges`. It stays because the daemon's certify reply and the
+    /// benchmark's `certify.cut_checks` report it.
     pub cut_checks: usize,
     /// Trees in the forest (== components of the input).
     pub trees: usize,
@@ -185,6 +172,12 @@ impl Certificate {
     }
 }
 
+/// True when a reported forest weight matches the recomputed sum within
+/// the suite's relative tolerance. A NaN or infinite report never matches.
+pub(crate) fn weight_matches(recomputed: f64, reported: f64) -> bool {
+    (recomputed - reported).abs() <= 1e-9 * recomputed.abs().max(1.0)
+}
+
 /// Certify `result` against `g` using [`rayon::current_num_threads`] blocks.
 pub fn certify_msf(g: &EdgeList, result: &MsfResult) -> Result<Certificate, CertificateViolation> {
     certify_msf_with(g, result, rayon::current_num_threads().max(1))
@@ -192,7 +185,7 @@ pub fn certify_msf(g: &EdgeList, result: &MsfResult) -> Result<Certificate, Cert
 
 /// Certify `result` against `g`, partitioning the cycle-property queries
 /// into `threads` metered blocks. Never invokes Kruskal (or any other MSF
-/// algorithm): acceptance is proved from the cut and cycle properties alone.
+/// algorithm): acceptance is proved from the cycle property alone.
 pub fn certify_msf_with(
     g: &EdgeList,
     result: &MsfResult,
@@ -200,9 +193,8 @@ pub fn certify_msf_with(
 ) -> Result<Certificate, CertificateViolation> {
     let n = g.num_vertices();
     let m = g.num_edges();
-    let p = threads.max(1);
 
-    // --- Structure: ids valid and distinct, acyclic, spanning. ---
+    // --- Structure: ids valid and distinct, acyclic. ---
     let mut in_forest = vec![false; m];
     for &id in &result.edges {
         if id as usize >= m {
@@ -220,71 +212,57 @@ pub fn certify_msf_with(
             return Err(CertificateViolation::CyclicForest { id });
         }
     }
-    let mut components = UnionFind::new(n);
-    for e in g.edges() {
-        components.union(e.u as usize, e.v as usize);
-    }
-    if uf.set_count() != components.set_count() {
+    let trees = uf.set_count();
+
+    let pass = query_pass(g, &result.edges, &in_forest, threads.max(1));
+    if !pass.spans {
         return Err(CertificateViolation::NotSpanning {
-            forest_trees: uf.set_count(),
-            graph_components: components.set_count(),
+            forest_trees: trees,
+            graph_components: msf_graph::validate::component_count(g),
         });
     }
-    if result.components as usize != components.set_count() {
+    if result.components as usize != trees {
         return Err(CertificateViolation::InconsistentComponents {
             reported: result.components,
-            actual: components.set_count(),
+            actual: trees,
         });
     }
     let weight: f64 = result.edges.iter().map(|&id| g.edge(id).w).sum();
-    if (weight - result.total_weight).abs() > 1e-9 * weight.abs().max(1.0) {
+    if !weight_matches(weight, result.total_weight) {
         return Err(CertificateViolation::InconsistentWeight {
             reported: result.total_weight,
             recomputed: weight,
         });
     }
-
-    // --- Optimality: the two certificates, from independently rooted
-    // structures, as the two halves of one join. A cycle violation takes
-    // precedence, so the verdict does not depend on which half finishes
-    // first (or on p).
-    let (cycle, cut) = rayon::join(
-        || {
-            let spanning = CertificateViolation::NotSpanning {
-                forest_trees: uf.set_count(),
-                graph_components: components.set_count(),
-            };
-            cycle_certificate(g, &result.edges, &in_forest, p, spanning)
-        },
-        || cut_certificate(g, &in_forest),
-    );
-    let (meters, cycle_queries) = cycle?;
-    if let Some(v) = cut {
+    if let Some(v) = pass.violation {
         return Err(v);
     }
 
     Ok(Certificate {
         forest_edges: result.edges.len(),
-        cycle_queries,
+        cycle_queries: pass.queries,
         cut_checks: result.edges.len(),
-        trees: uf.set_count(),
-        meters,
+        trees,
+        meters: pass.meters,
     })
 }
 
-/// Cycle property: build a [`PathMaxForest`] over the claimed edges, then
-/// answer one path-max query per non-forest edge in `p` metered blocks.
-/// Returns the per-block meters and the number of queries answered, or the
-/// violation of the lowest offending edge id. `spanning` is returned for a
-/// non-forest edge whose endpoints lie in different trees, which the
-/// structure checks already rule out.
-fn cycle_certificate(
-    g: &EdgeList,
-    forest_ids: &[u32],
-    in_forest: &[bool],
-    p: usize,
-    spanning: CertificateViolation,
-) -> Result<(Vec<WorkMeter>, usize), CertificateViolation> {
+/// What the path-max queries over the non-forest edges found.
+struct QueryPass {
+    /// One meter per block.
+    meters: Vec<WorkMeter>,
+    /// Queries answered.
+    queries: usize,
+    /// False when some non-forest edge joins two trees of the claimed
+    /// forest (a block stops at the first such edge).
+    spans: bool,
+    /// The cycle-property violation of the lowest offending edge id.
+    violation: Option<CertificateViolation>,
+}
+
+/// Build a [`PathMaxForest`] over the claimed edges, then answer one
+/// path-max query per non-forest edge in `p` metered blocks.
+fn query_pass(g: &EdgeList, forest_ids: &[u32], in_forest: &[bool], p: usize) -> QueryPass {
     let n = g.num_vertices();
     let m = g.num_edges();
     let forest: Vec<(u32, u32, EdgeKey)> = forest_ids
@@ -297,13 +275,13 @@ fn cycle_certificate(
     let pm = PathMaxForest::build(n, &forest);
     let log_n = u64::from(usize::BITS - n.max(2).leading_zeros());
     let edges = g.edges();
-    let blocks: Vec<(Option<CertificateViolation>, WorkMeter, usize)> = (0..p)
+    let blocks: Vec<(Option<CertificateViolation>, bool, WorkMeter, usize)> = (0..p)
         .into_par_iter()
         .map(|t| {
             let r = msf_primitives::block_range(m, p, t);
             let mut meter = WorkMeter::new();
             let mut queries = 0usize;
-            let mut worst: Option<CertificateViolation> = None;
+            let mut first: Option<CertificateViolation> = None;
             for e in &edges[r] {
                 if in_forest[e.id as usize] || e.u == e.v {
                     continue;
@@ -315,295 +293,36 @@ fn cycle_certificate(
                 meter.ops(2 * log_n);
                 match pm.path_max(e.u, e.v) {
                     Some(path_max) if e.key() > path_max => {}
+                    // Edge ids match positions, so a block's first
+                    // violation is its lowest id.
                     Some(path_max) => {
-                        worst = pick_first(
-                            worst,
-                            e.id,
-                            CertificateViolation::CycleProperty {
-                                non_forest: e.id,
-                                non_forest_key: e.key(),
-                                path_max,
-                            },
-                        );
+                        first.get_or_insert(CertificateViolation::CycleProperty {
+                            non_forest: e.id,
+                            non_forest_key: e.key(),
+                            path_max,
+                        });
                     }
-                    None => worst = pick_first(worst, e.id, spanning.clone()),
+                    None => return (first, false, meter, queries),
                 }
             }
-            (worst, meter, queries)
+            (first, true, meter, queries)
         })
         .collect();
-    let mut meters = Vec::with_capacity(p);
-    let mut cycle_queries = 0usize;
-    let mut first: Option<(u32, CertificateViolation)> = None;
-    for (worst, meter, queries) in blocks {
-        meters.push(meter);
-        cycle_queries += queries;
-        if let Some(v) = worst {
-            let id = violation_edge(&v);
-            if first.as_ref().is_none_or(|(best, _)| id < *best) {
-                first = Some((id, v));
-            }
-        }
+    let mut pass = QueryPass {
+        meters: Vec::with_capacity(p),
+        queries: 0,
+        spans: true,
+        violation: None,
+    };
+    // Blocks come in id order, so the first block's violation is the
+    // lowest overall.
+    for (first, spans, meter, queries) in blocks {
+        pass.meters.push(meter);
+        pass.queries += queries;
+        pass.spans &= spans;
+        pass.violation = pass.violation.or(first);
     }
-    match first {
-        Some((_, v)) => Err(v),
-        None => Ok((meters, cycle_queries)),
-    }
-}
-
-/// Cut property: root the forest afresh from `in_forest`, min-cover every
-/// non-forest edge's forest path, push the covers down, and compare each
-/// forest edge with the lightest non-forest edge crossing its cut.
-fn cut_certificate(g: &EdgeList, in_forest: &[bool]) -> Option<CertificateViolation> {
-    CutCover::build(g, in_forest).check(g, in_forest)
-}
-
-/// Deterministic winner among block-local violations: lowest offending edge
-/// id (so a fixed input yields a fixed error regardless of p).
-fn pick_first(
-    current: Option<CertificateViolation>,
-    id: u32,
-    candidate: CertificateViolation,
-) -> Option<CertificateViolation> {
-    match current {
-        Some(cur) if violation_edge(&cur) <= id => Some(cur),
-        _ => Some(candidate),
-    }
-}
-
-fn violation_edge(v: &CertificateViolation) -> u32 {
-    match v {
-        CertificateViolation::CycleProperty { non_forest, .. } => *non_forest,
-        CertificateViolation::CutProperty { forest, .. } => *forest,
-        _ => 0,
-    }
-}
-
-/// One cut-cover table entry, 16 bytes: v's 2^k-th ancestor and the
-/// pending min-cover over the 2^k parent edges from v up to it, stored as
-/// the key of a non-forest edge (the key carries the edge id). Keeping the
-/// ancestor next to the cover means each step of a cover walk touches one
-/// entry.
-#[derive(Clone, Copy)]
-struct CoverSlot {
-    w: OrderedWeight,
-    id: u32,
-    /// The 2^k-th ancestor (NONE above the root).
-    up: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<CoverSlot>() == 16);
-
-impl CoverSlot {
-    /// No cover yet: EdgeKey::MAX is heavier than every real key, and no
-    /// real edge has id NONE.
-    #[inline]
-    fn empty(up: u32) -> CoverSlot {
-        CoverSlot {
-            w: EdgeKey::MAX.w,
-            id: EdgeKey::MAX.id,
-            up,
-        }
-    }
-
-    #[inline]
-    fn key(self) -> EdgeKey {
-        EdgeKey {
-            w: self.w,
-            id: self.id,
-        }
-    }
-}
-
-/// Rooted-forest scaffolding for the cut-property check, built directly from
-/// the claimed forest (independently of [`PathMaxForest`], so the two
-/// optimality certificates do not share a traversal).
-///
-/// [`CutCover::check`] min-covers every non-forest edge's forest path into
-/// the [`CoverSlot`] tables, pushes the covers down to the per-parent-edge
-/// level, and compares each forest edge against the lightest non-forest
-/// edge whose cycle contains it. Like [`PathMaxForest`], the tables have
-/// `max(1, bits(max depth))` levels.
-struct CutCover {
-    cover: Vec<Vec<CoverSlot>>,
-    depth: Vec<u32>,
-    comp: Vec<u32>,
-    /// Key of the edge from v to its parent (EdgeKey::MAX at roots).
-    pkey: Vec<EdgeKey>,
-}
-
-impl CutCover {
-    fn build(g: &EdgeList, in_forest: &[bool]) -> CutCover {
-        let n = g.num_vertices();
-        let edges = g.edges();
-        // Counting-sort CSR over the forest edges of `g`:
-        // `slots[head[x]..head[x + 1]]` index the forest edges at x.
-        let mut head = vec![0u32; n + 1];
-        for e in edges.iter().filter(|e| in_forest[e.id as usize]) {
-            head[e.u as usize] += 1;
-            head[e.v as usize] += 1;
-        }
-        let mut total = 0u32;
-        for h in &mut head {
-            total += *h;
-            *h = total;
-        }
-        let mut slots = vec![0u32; total as usize];
-        for (i, e) in edges.iter().enumerate() {
-            if in_forest[e.id as usize] {
-                for x in [e.u, e.v] {
-                    head[x as usize] -= 1;
-                    slots[head[x as usize] as usize] = i as u32;
-                }
-            }
-        }
-        let mut base = vec![CoverSlot::empty(NONE); n];
-        let mut pkey = vec![EdgeKey::MAX; n];
-        let mut depth = vec![0u32; n];
-        let mut comp = vec![NONE; n];
-        // One n-slot array is the BFS queue of the whole forest: every
-        // vertex is enqueued exactly once.
-        let mut queue = vec![0u32; n];
-        let (mut qhead, mut qtail) = (0usize, 0usize);
-        let mut max_depth = 0u32;
-        for root in 0..n as u32 {
-            if comp[root as usize] != NONE {
-                continue;
-            }
-            comp[root as usize] = root;
-            queue[qtail] = root;
-            qtail += 1;
-            while qhead < qtail {
-                let x = queue[qhead];
-                qhead += 1;
-                let (lo, hi) = (head[x as usize] as usize, head[x as usize + 1] as usize);
-                for &i in &slots[lo..hi] {
-                    let e = &edges[i as usize];
-                    let y = e.other(x);
-                    if comp[y as usize] != NONE {
-                        continue;
-                    }
-                    comp[y as usize] = root;
-                    base[y as usize].up = x;
-                    pkey[y as usize] = e.key();
-                    depth[y as usize] = depth[x as usize] + 1;
-                    max_depth = max_depth.max(depth[y as usize]);
-                    queue[qtail] = y;
-                    qtail += 1;
-                }
-            }
-        }
-        let levels = lifting_levels(max_depth);
-        let mut cover = vec![base];
-        for k in 1..levels {
-            let prev = &cover[k - 1];
-            let next: Vec<CoverSlot> = (0..n)
-                .into_par_iter()
-                .with_min_len(LEVEL_GRAIN)
-                .map(|v| match prev[v].up {
-                    NONE => CoverSlot::empty(NONE),
-                    mid => CoverSlot::empty(prev[mid as usize].up),
-                })
-                .collect();
-            cover.push(next);
-        }
-        CutCover {
-            cover,
-            depth,
-            comp,
-            pkey,
-        }
-    }
-
-    /// Min-cover the path u..v with the non-forest edge keyed `key`.
-    fn apply(&mut self, mut u: u32, mut v: u32, key: EdgeKey) {
-        if u == v || self.comp[u as usize] != self.comp[v as usize] {
-            return; // self-loop or cross-tree: covers no forest edge
-        }
-        if self.depth[u as usize] < self.depth[v as usize] {
-            std::mem::swap(&mut u, &mut v);
-        }
-        let mut diff = self.depth[u as usize] - self.depth[v as usize];
-        let mut k = 0;
-        while diff > 0 {
-            if diff & 1 == 1 {
-                u = self.tag(k, u, key);
-            }
-            diff >>= 1;
-            k += 1;
-        }
-        if u == v {
-            return;
-        }
-        // The common ancestor is at most depth(u) levels up, so jumps of
-        // 2^k > depth(u) never apply.
-        for k in (0..bit_len(self.depth[u as usize])).rev() {
-            let level = &self.cover[k];
-            if level[u as usize].up != level[v as usize].up {
-                u = self.tag(k, u, key);
-                v = self.tag(k, v, key);
-            }
-        }
-        self.tag(0, u, key);
-        self.tag(0, v, key);
-    }
-
-    /// Min-update `cover[k][v]` with `key`; returns v's 2^k-th ancestor.
-    #[inline]
-    fn tag(&mut self, k: usize, v: u32, key: EdgeKey) -> u32 {
-        let slot = &mut self.cover[k][v as usize];
-        if key < slot.key() {
-            slot.w = key.w;
-            slot.id = key.id;
-        }
-        slot.up
-    }
-
-    /// Push covers down and compare every forest edge with its lightest
-    /// crossing non-forest edge.
-    fn check(mut self, g: &EdgeList, in_forest: &[bool]) -> Option<CertificateViolation> {
-        for e in g.edges() {
-            if !in_forest[e.id as usize] {
-                self.apply(e.u, e.v, e.key());
-            }
-        }
-        // Level k covers split into two level k-1 covers: at v, and at v's
-        // 2^(k-1)-th ancestor.
-        for k in (1..self.cover.len()).rev() {
-            for v in 0..self.depth.len() {
-                let slot = self.cover[k][v];
-                if slot.id == NONE {
-                    continue;
-                }
-                let mid = self.tag(k - 1, v as u32, slot.key());
-                if mid != NONE {
-                    self.tag(k - 1, mid, slot.key());
-                }
-            }
-        }
-        // cover[0][v] is now the lightest non-forest edge whose forest cycle
-        // contains the parent edge of v. Cut property: the forest edge must
-        // be strictly lighter (keys are distinct under the total order, and
-        // an empty slot is heavier than every real key).
-        let mut worst: Option<(u32, CertificateViolation)> = None;
-        for (slot, &forest_key) in self.cover[0].iter().zip(&self.pkey) {
-            if slot.up == NONE || slot.key() >= forest_key {
-                continue;
-            }
-            let fid = forest_key.id;
-            if worst.as_ref().is_none_or(|(best, _)| fid < *best) {
-                worst = Some((
-                    fid,
-                    CertificateViolation::CutProperty {
-                        forest: fid,
-                        forest_key,
-                        lighter_crossing: slot.id,
-                    },
-                ));
-            }
-        }
-        worst.map(|(_, v)| v)
-    }
+    pass
 }
 
 #[cfg(test)]
@@ -677,7 +396,6 @@ mod tests {
             matches!(
                 err,
                 CertificateViolation::CycleProperty { non_forest: 0, .. }
-                    | CertificateViolation::CutProperty { forest: 1, .. }
             ),
             "got {err}"
         );
@@ -726,6 +444,23 @@ mod tests {
             certify_msf_with(&g, &r, 1).unwrap_err(),
             CertificateViolation::InconsistentComponents { reported: 7, .. }
         ));
+    }
+
+    #[test]
+    fn rejects_nan_and_infinite_reported_weight() {
+        // `(w - NaN).abs() > tol` is false, so a tolerance test written that
+        // way lets a NaN report through.
+        let g = EdgeList::from_triples(3, vec![(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]);
+        for reported in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut r = result_with(vec![0, 1], &g);
+            r.total_weight = reported;
+            match certify_msf_with(&g, &r, 2) {
+                Err(CertificateViolation::InconsistentWeight { recomputed, .. }) => {
+                    assert_eq!(recomputed, 3.0, "reported {reported}")
+                }
+                other => panic!("reported {reported}: expected InconsistentWeight, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -783,6 +518,50 @@ mod tests {
             let r = result_with(edges, &g);
             cases.push((g, r));
         }
+
+        // A disconnected input: two triangles and an isolated vertex, so
+        // three components and a three-tree true forest {0, 1, 3, 4}.
+        let islands = EdgeList::from_triples(
+            7,
+            vec![
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (0, 2, 3.0),
+                (3, 4, 1.0),
+                (4, 5, 2.0),
+                (3, 5, 3.0),
+            ],
+        );
+        let true_forest = result_with(vec![0, 1, 3, 4], &islands);
+        match certify_msf_with(&islands, &true_forest, 2) {
+            Ok(c) => assert_eq!((c.trees, c.cut_checks), (3, 4)),
+            Err(v) => panic!("the true forest of a disconnected input: {v}"),
+        }
+        // Edge 2 swapped in for edge 1 (edge 1 now breaks the cycle
+        // property) and edge 4 dropped (edges 4 and 5 now join two trees).
+        // Spanning is judged first, at every p, even where a block meets
+        // the cycle violation before the crossing edge.
+        let swapped_and_dropped = result_with(vec![0, 2, 3], &islands);
+        assert_eq!(
+            certify_msf_with(&islands, &swapped_and_dropped, 2).unwrap_err(),
+            CertificateViolation::NotSpanning {
+                forest_trees: 4,
+                graph_components: 3,
+            }
+        );
+        let mut miscounted = true_forest.clone();
+        miscounted.components += 1;
+        assert_eq!(
+            certify_msf_with(&islands, &miscounted, 2).unwrap_err(),
+            CertificateViolation::InconsistentComponents {
+                reported: 4,
+                actual: 3,
+            }
+        );
+        for r in [true_forest, swapped_and_dropped, miscounted] {
+            cases.push((islands.clone(), r));
+        }
+
         // Same verdict, and for accepted forests the same certificate, at
         // every p and with the pool bypassed (as under MSF_SEQUENTIAL=1).
         for (g, r) in &cases {
@@ -807,65 +586,60 @@ mod tests {
         }
     }
 
-    /// The canonical corruptions, each with the cut violation it must
-    /// produce when the cut side runs alone: `(name, graph, claimed
-    /// forest, offending forest edge, lighter crossing edge)`.
+    /// The canonical corruptions, each with the cycle violation it must
+    /// produce: `(name, graph, claimed forest, offending non-forest edge,
+    /// forest edge at its path maximum)`.
     fn canonical_corruptions() -> Vec<(&'static str, EdgeList, Vec<u32>, u32, u32)> {
         vec![
             (
-                // Triangle, heavy edge 2 swapped in for edge 1: edge 2's
-                // cut is crossed by the lighter edge 1.
+                // Triangle, heavy edge 2 swapped in for edge 1: edge 1's
+                // cycle runs through the heavier edge 2.
                 "swapped heavy edge",
                 EdgeList::from_triples(3, vec![(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]),
                 vec![0, 2],
-                2,
                 1,
+                2,
             ),
             (
                 "heavier parallel substitute",
                 EdgeList::from_triples(2, vec![(0, 1, 1.0), (0, 1, 5.0)]),
                 vec![1],
-                1,
                 0,
+                1,
             ),
             (
-                // Equal-weight 4-cycle, {1, 2, 3} claimed: edge 0 crosses
-                // every forest edge's cut and wins each tie by id; the
-                // lowest offending forest id is reported.
+                // Equal-weight 4-cycle, {1, 2, 3} claimed: edge 0 wins every
+                // tie by id, and the path maximum is the highest id, 3.
                 "tie-heavy wrong tree",
                 EdgeList::from_triples(4, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
                 vec![1, 2, 3],
-                1,
                 0,
+                3,
             ),
         ]
     }
 
     #[test]
-    fn cut_side_alone_names_each_canonical_corruption() {
-        for (name, g, edges, forest, lighter) in canonical_corruptions() {
-            let mut in_forest = vec![false; g.num_edges()];
-            for &id in &edges {
-                in_forest[id as usize] = true;
-            }
-            match cut_certificate(&g, &in_forest) {
-                Some(CertificateViolation::CutProperty {
-                    forest: f,
-                    forest_key,
-                    lighter_crossing,
-                }) => {
-                    assert_eq!((f, lighter_crossing), (forest, lighter), "{name}");
-                    assert_eq!(forest_key, g.edge(forest).key(), "{name}");
+    fn canonical_corruptions_are_named_at_every_p() {
+        for (name, g, edges, non_forest, path_max_id) in canonical_corruptions() {
+            let r = result_with(edges, &g);
+            for p in [1usize, 2, 3] {
+                match certify_msf_with(&g, &r, p) {
+                    Err(CertificateViolation::CycleProperty {
+                        non_forest: nf,
+                        non_forest_key,
+                        path_max,
+                    }) => {
+                        assert_eq!((nf, path_max.id), (non_forest, path_max_id), "{name}");
+                        assert_eq!(non_forest_key, g.edge(non_forest).key(), "{name}");
+                        assert_eq!(path_max, g.edge(path_max_id).key(), "{name}");
+                    }
+                    other => panic!("{name} at p = {p}: expected CycleProperty, got {other:?}"),
                 }
-                other => panic!("{name}: expected CutProperty, got {other:?}"),
             }
-            // The true forest passes the cut side.
+            // The true forest is accepted.
             let good = minimum_spanning_forest(&g, Algorithm::Kruskal, &MsfConfig::default());
-            let mut in_good = vec![false; g.num_edges()];
-            for &id in &good.edges {
-                in_good[id as usize] = true;
-            }
-            assert_eq!(cut_certificate(&g, &in_good), None, "{name}");
+            certify_msf_with(&g, &good, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 

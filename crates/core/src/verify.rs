@@ -79,7 +79,7 @@ pub fn verify_msf(g: &EdgeList, result: &MsfResult) -> Result<(), String> {
     }
 
     let weight: f64 = result.edges.iter().map(|&id| g.edge(id).w).sum();
-    if (weight - result.total_weight).abs() > 1e-9 * weight.abs().max(1.0) {
+    if !crate::certify::weight_matches(weight, result.total_weight) {
         return Err(format!(
             "reported weight {} != recomputed {weight}",
             result.total_weight
@@ -97,7 +97,7 @@ pub fn verify_msf(g: &EdgeList, result: &MsfResult) -> Result<(), String> {
         ))
     };
 
-    // Independent second opinion: the cut/cycle-property certificate never
+    // Independent second opinion: the cycle-property certificate never
     // runs Kruskal, so agreement here means a shared reference bug cannot
     // silently accept a wrong forest (nor a certifier bug reject a right
     // one).
@@ -114,72 +114,6 @@ pub fn verify_msf(g: &EdgeList, result: &MsfResult) -> Result<(), String> {
              Kruskal reference ({k}) — one of the two verifiers is buggy"
         )),
     }
-}
-
-/// Verify the MSF *without* recomputing a reference forest: structural
-/// checks plus the cycle property — under the `(weight, id)` total order the
-/// claimed forest is THE minimum spanning forest iff it spans and every
-/// non-forest edge is strictly heavier than the maximum edge on the forest
-/// path between its endpoints. O(n log n) build + O(m log n) queries, fully
-/// independent of the Kruskal/Prim/Borůvka implementations.
-pub fn verify_msf_cycle_property(g: &EdgeList, result: &MsfResult) -> Result<(), String> {
-    let n = g.num_vertices();
-
-    // Structural: acyclic + spanning (shared with verify_msf, recomputed
-    // here so this function stands alone).
-    let mut uf = UnionFind::new(n);
-    let mut in_forest = vec![false; g.num_edges()];
-    for &id in &result.edges {
-        if id as usize >= g.num_edges() {
-            return Err(format!("edge id {id} out of range"));
-        }
-        if in_forest[id as usize] {
-            return Err(format!("edge id {id} used twice"));
-        }
-        in_forest[id as usize] = true;
-        let e = g.edge(id);
-        if !uf.union(e.u as usize, e.v as usize) {
-            return Err(format!("edge id {id} closes a cycle"));
-        }
-    }
-    if uf.set_count() != msf_graph::validate::component_count(g) {
-        return Err("forest is not spanning".into());
-    }
-
-    // Cycle property via path-max queries over the claimed forest.
-    let forest: Vec<(u32, u32, msf_graph::EdgeKey)> = result
-        .edges
-        .iter()
-        .map(|&id| {
-            let e = g.edge(id);
-            (e.u, e.v, e.key())
-        })
-        .collect();
-    let pm = msf_graph::pathmax::PathMaxForest::build(n, &forest);
-    for e in g.edges() {
-        if in_forest[e.id as usize] {
-            continue;
-        }
-        match pm.path_max(e.u, e.v) {
-            Some(path_max) if e.key() > path_max => {}
-            Some(path_max) => {
-                return Err(format!(
-                    "non-forest edge {} (key {:?}) is not the maximum of its cycle \
-                     (path max {:?}) — the forest is not minimum",
-                    e.id,
-                    e.key(),
-                    path_max
-                ));
-            }
-            None => {
-                return Err(format!(
-                    "non-forest edge {} connects two forest trees — not spanning",
-                    e.id
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -243,61 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn cycle_property_verifier_accepts_and_rejects() {
-        let g = random_graph(&GeneratorConfig::with_seed(4), 200, 800);
-        let good = minimum_spanning_forest(&g, Algorithm::BorFal, &MsfConfig::default());
-        verify_msf_cycle_property(&g, &good).unwrap();
-
-        // Swap one forest edge for a non-forest edge sharing the cut: the
-        // result spans but is no longer minimum.
-        let non_forest: u32 = (0..g.num_edges() as u32)
-            .find(|id| !good.edges.contains(id))
-            .expect("some non-forest edge exists");
-        let e = g.edge(non_forest);
-        // Find a forest edge on the path between its endpoints by removing
-        // edges until connectivity between e.u and e.v breaks.
-        let mut tampered = good.edges.clone();
-        for i in 0..tampered.len() {
-            let mut attempt = tampered.clone();
-            attempt.remove(i);
-            let mut uf = UnionFind::new(g.num_vertices());
-            for &id in &attempt {
-                let f = g.edge(id);
-                uf.union(f.u as usize, f.v as usize);
-            }
-            if !uf.same(e.u as usize, e.v as usize) {
-                attempt.push(non_forest);
-                attempt.sort_unstable();
-                tampered = attempt;
-                break;
-            }
-        }
-        let bad = MsfResult {
-            edges: tampered,
-            total_weight: 0.0,
-            components: good.components,
-            stats: RunStats::default(),
-        };
-        assert!(
-            verify_msf_cycle_property(&g, &bad).is_err(),
-            "swapped-edge forest must fail the cycle property"
-        );
-    }
-
-    #[test]
-    fn cycle_property_verifier_on_ties() {
-        // All weights equal: only the id order distinguishes forests.
-        let g = EdgeList::from_triples(4, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
-        let good = minimum_spanning_forest(&g, Algorithm::Kruskal, &MsfConfig::default());
-        verify_msf_cycle_property(&g, &good).unwrap();
-        // The other spanning tree (ids 1,2,3) is spanning but not THE MSF.
-        let bad = MsfResult {
-            edges: vec![1, 2, 3],
-            total_weight: 3.0,
-            components: 1,
-            stats: RunStats::default(),
-        };
-        assert!(verify_msf_cycle_property(&g, &bad).is_err());
+    fn rejects_nan_reported_weight() {
+        let g = EdgeList::from_triples(3, vec![(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]);
+        let r = fake_result(vec![0, 1], f64::NAN, 1);
+        assert!(verify_msf(&g, &r).unwrap_err().contains("weight"));
     }
 
     #[test]

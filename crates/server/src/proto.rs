@@ -16,8 +16,8 @@ use std::io::{self, Read, Write};
 /// smaller; graphs never travel over the wire, only names and paths do).
 pub const MAX_FRAME: u32 = 1 << 26;
 
-/// Request the forest be re-certified (cut + cycle proof) before replying,
-/// even if the server was not started `--paranoid`.
+/// Request the forest be re-certified (cycle-property proof) before
+/// replying, even if the server was not started `--paranoid`.
 pub const FLAG_PARANOID: u32 = 1;
 /// Skip the contracted-intermediate cache for this request (compute from
 /// scratch; the cache is neither consulted nor populated).
@@ -31,7 +31,7 @@ pub enum Op {
     Load = 1,
     /// Compute the MSF of a resident graph.
     Compute = 2,
-    /// Compute and certify (cut + cycle properties) the MSF.
+    /// Compute and certify (cycle property) the MSF.
     Certify = 3,
     /// Shape and residency information for a named graph.
     Info = 4,
@@ -162,7 +162,9 @@ pub struct CertifyReply {
     pub trees: u32,
     /// Cycle-property queries issued.
     pub cycle_queries: u64,
-    /// Cut-property checks issued.
+    /// Forest edges proved the minimum across their cut; always
+    /// `forest_edges`, as the cycle-property queries cover every cut. Kept
+    /// so the reply layout does not change.
     pub cut_checks: u64,
     /// The forest checksum (matches the compute reply for the same graph).
     pub checksum: u64,

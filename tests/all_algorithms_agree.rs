@@ -1,6 +1,7 @@
 //! Cross-crate integration: every algorithm on every generator class must
 //! produce the identical (unique) minimum spanning forest.
 
+use msf_suite::core::certify::certify_msf_with;
 use msf_suite::core::{minimum_spanning_forest, verify, Algorithm, MsfConfig};
 use msf_suite::graph::generators::{standard_suite, GeneratorConfig};
 
@@ -12,8 +13,7 @@ fn full_matrix_agreement() {
     for (name, g) in standard_suite(&gen, 600) {
         let reference = minimum_spanning_forest(&g, Algorithm::Kruskal, &MsfConfig::default());
         verify::verify_msf(&g, &reference).unwrap_or_else(|e| panic!("{name}: {e}"));
-        verify::verify_msf_cycle_property(&g, &reference)
-            .unwrap_or_else(|e| panic!("{name} (cycle property): {e}"));
+        certify_msf_with(&g, &reference, 3).unwrap_or_else(|e| panic!("{name} (certificate): {e}"));
         for algo in Algorithm::ALL {
             for p in [1usize, 3, 7] {
                 let cfg = MsfConfig {

@@ -13,7 +13,7 @@ use msf_suite::graph::transform::overlay;
 use msf_suite::graph::{EdgeKey, EdgeList};
 
 /// An `MsfResult` for a claimed edge set, with weight and component count
-/// recomputed honestly so only the optimality certificates can object.
+/// recomputed honestly so only the optimality checks can object.
 fn claimed(g: &EdgeList, mut edges: Vec<u32>) -> MsfResult {
     edges.sort_unstable();
     let total_weight = edges.iter().map(|&id| g.edge(id).w).sum();
@@ -27,8 +27,8 @@ fn claimed(g: &EdgeList, mut edges: Vec<u32>) -> MsfResult {
 }
 
 /// The headline acceptance matrix: every algorithm × every standard
-/// generator × p ∈ {1, 3, 7}, certified purely from the cut and cycle
-/// properties — `certify_msf_with` never runs Kruskal or any reference.
+/// generator × p ∈ {1, 3, 7}, certified purely from the cycle property —
+/// `certify_msf_with` never runs Kruskal or any reference.
 #[test]
 fn certifies_full_matrix_without_a_reference() {
     for (name, g) in standard_suite(&GeneratorConfig::with_seed(2026), 400) {
@@ -82,10 +82,17 @@ fn swapped_edge_is_rejected_by_name() {
     edges.push(heavy.id);
     let bad = claimed(&g, edges);
     match certify_msf_with(&g, &bad, 3) {
-        Err(CertificateViolation::CycleProperty { non_forest, .. }) => {
-            assert_ne!(non_forest, heavy.id, "the swapped-in edge now IS forest")
+        Err(CertificateViolation::CycleProperty {
+            non_forest,
+            path_max,
+            ..
+        }) => {
+            assert_ne!(non_forest, heavy.id, "the swapped-in edge now IS forest");
+            assert_eq!(
+                path_max.id, heavy.id,
+                "the violation names the swapped-in edge"
+            );
         }
-        Err(CertificateViolation::CutProperty { forest, .. }) => assert_eq!(forest, heavy.id),
         other => panic!("expected a named optimality violation, got {other:?}"),
     }
     // The Kruskal-based verifier and the certificate agree on the verdict.
@@ -110,7 +117,7 @@ fn dropped_edge_is_rejected_by_name() {
 }
 
 /// Replace a forest edge with a strictly heavier parallel twin: spanning
-/// structure is intact, so only the optimality certificates can object.
+/// structure is intact, so only the optimality checks can object.
 #[test]
 fn heavier_substitute_is_rejected_by_name() {
     let base = random_graph(&GeneratorConfig::with_seed(33), 80, 240);
@@ -130,16 +137,17 @@ fn heavier_substitute_is_rejected_by_name() {
         .collect();
     let bad = claimed(&g, edges);
     match certify_msf_with(&g, &bad, 3) {
-        Err(CertificateViolation::CycleProperty { non_forest, .. }) => {
-            assert_eq!(non_forest, victim, "the dropped light twin flags first")
-        }
-        Err(CertificateViolation::CutProperty {
-            forest,
-            lighter_crossing,
+        Err(CertificateViolation::CycleProperty {
+            non_forest,
+            path_max,
             ..
         }) => {
-            assert_eq!(forest, victim + m);
-            assert_eq!(lighter_crossing, victim);
+            assert_eq!(non_forest, victim, "the dropped light twin flags first");
+            assert_eq!(
+                path_max.id,
+                victim + m,
+                "the violation names the heavy twin"
+            );
         }
         other => panic!("expected a named optimality violation, got {other:?}"),
     }

@@ -7,7 +7,7 @@
 //! call tree, once inline in deterministic order, once on the pool. The
 //! results must be **bit-identical** — same forest edge ids in the same
 //! order, same total weight bits, same component count — and every pooled
-//! forest must independently pass the cut/cycle certificate. The modeled
+//! forest must independently pass the cycle-property certificate. The modeled
 //! cost depends only on the input and `p`, so it must match too, except for
 //! MST-BC, whose racy tie-breaks change its work split from run to run.
 //! The inputs mix uniform, mesh and structured graphs, duplicate weights,

@@ -65,9 +65,9 @@ proptest! {
         prop_assert_eq!(r.components as usize, components.set_count());
     }
 
-    /// Cut property spot-check: for every non-forest edge, the path between
-    /// its endpoints inside the forest contains no heavier edge (cycle
-    /// property of the unique MSF).
+    /// Cycle property by brute force, independent of `PathMaxForest`: for
+    /// every non-forest edge, the BFS path between its endpoints inside the
+    /// forest contains no heavier edge.
     #[test]
     fn cycle_property_holds(g in arb_graph()) {
         let r = minimum_spanning_forest(&g, Algorithm::MstBc, &MsfConfig::with_threads(2));
