@@ -377,7 +377,7 @@ fn client_cmd(args: &[String]) {
 fn trace_cmd(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
     let mut algo = Algorithm::BorFal;
-    let mut threads = rayon::current_num_threads().max(1);
+    let mut threads = msf_pool::width();
     let mut out_path = String::from("trace.json");
     let mut strict = false;
     let mut i = 1;
@@ -584,7 +584,7 @@ fn profile_cmd(args: &[String]) {
 fn certify(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
     let mut algo = Algorithm::BorFal;
-    let mut threads = rayon::current_num_threads().max(1);
+    let mut threads = msf_pool::width();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -678,8 +678,8 @@ fn fuzz_cmd(args: &[String]) {
     );
     for f in &report.failures {
         eprintln!(
-            "  case {} [{}] {} at p={} base_size={} radix={}: {}",
-            f.case, f.generator, f.algo, f.threads, f.base_size, f.radix_compact, f.detail
+            "  case {} [{}] {} at p={} base_size={}: {}",
+            f.case, f.generator, f.algo, f.threads, f.base_size, f.detail
         );
         eprintln!(
             "    shrunk to {} vertices / {} edges{}",
@@ -699,7 +699,7 @@ fn fuzz_cmd(args: &[String]) {
 fn compute(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
     let mut algo = Algorithm::BorFal;
-    let mut threads = rayon::current_num_threads().max(1);
+    let mut threads = msf_pool::width();
     let mut do_verify = false;
     let mut out_path: Option<String> = None;
     let mut trace_path: Option<String> = None;

@@ -38,8 +38,8 @@
 use msf_graph::pathmax::PathMaxForest;
 use msf_graph::{EdgeKey, EdgeList};
 use msf_primitives::cost::WorkMeter;
+use msf_primitives::pool;
 use msf_primitives::unionfind::UnionFind;
-use rayon::prelude::*;
 
 use crate::MsfResult;
 
@@ -178,9 +178,9 @@ pub(crate) fn weight_matches(recomputed: f64, reported: f64) -> bool {
     (recomputed - reported).abs() <= 1e-9 * recomputed.abs().max(1.0)
 }
 
-/// Certify `result` against `g` using [`rayon::current_num_threads`] blocks.
+/// Certify `result` against `g` using [`pool::width`] blocks.
 pub fn certify_msf(g: &EdgeList, result: &MsfResult) -> Result<Certificate, CertificateViolation> {
-    certify_msf_with(g, result, rayon::current_num_threads().max(1))
+    certify_msf_with(g, result, pool::width())
 }
 
 /// Certify `result` against `g`, partitioning the cycle-property queries
@@ -275,9 +275,8 @@ fn query_pass(g: &EdgeList, forest_ids: &[u32], in_forest: &[bool], p: usize) ->
     let pm = PathMaxForest::build(n, &forest);
     let log_n = u64::from(usize::BITS - n.max(2).leading_zeros());
     let edges = g.edges();
-    let blocks: Vec<(Option<CertificateViolation>, bool, WorkMeter, usize)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
+    let blocks: Vec<(Option<CertificateViolation>, bool, WorkMeter, usize)> =
+        pool::map_collect(p, 1, |t| {
             let r = msf_primitives::block_range(m, p, t);
             let mut meter = WorkMeter::new();
             let mut queries = 0usize;
@@ -306,8 +305,7 @@ fn query_pass(g: &EdgeList, forest_ids: &[u32], in_forest: &[bool], p: usize) ->
                 }
             }
             (first, true, meter, queries)
-        })
-        .collect();
+        });
     let mut pass = QueryPass {
         meters: Vec::with_capacity(p),
         queries: 0,

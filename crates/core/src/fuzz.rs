@@ -4,7 +4,8 @@
 //! thinned meshes, geometric, degenerate structured trees, tie-heavy
 //! multigraphs, disconnected unions), runs **every** [`Algorithm`] at
 //! several thread counts and configuration corners (small `base_size`, odd
-//! `p`, `radix_compact` on and off), and cross-checks the results two ways:
+//! `p`, MST-BC's shuffle and stealing on and off), and cross-checks the
+//! results two ways:
 //!
 //! 1. **differentially** — all algorithms must produce the identical edge-id
 //!    set, since the `(weight, id)` total order makes the MSF unique;
@@ -78,8 +79,6 @@ pub struct FuzzFailure {
     pub threads: usize,
     /// MST-BC base size in effect.
     pub base_size: usize,
-    /// Bor-EL radix-compaction flag in effect.
-    pub radix_compact: bool,
     /// Human-readable reason (differential mismatch or certificate error).
     pub detail: String,
     /// The shrunk graph that still reproduces the failure.
@@ -266,15 +265,13 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
 
         for &p in &cfg.threads {
             // Corner-heavy configuration sampling: tiny base sizes force
-            // MST-BC's recursion, odd p exercises uneven block partitions,
-            // and radix_compact flips Bor-EL onto its counting-sort path.
+            // MST-BC's recursion and odd p exercises uneven block partitions.
             let run_cfg = MsfConfig {
                 threads: p,
                 base_size: *[2usize, 4, 16, 64].choose(&mut rng).expect("non-empty"),
                 shuffle: rng.gen_bool(0.5),
                 work_stealing: rng.gen_bool(0.5),
                 seed: rng.gen::<u64>(),
-                radix_compact: rng.gen_bool(0.5),
             };
             for &subject in &subjects {
                 report.runs += 1;
@@ -295,7 +292,6 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
                             algo: subject.slug().to_string(),
                             threads: run_cfg.threads,
                             base_size: run_cfg.base_size,
-                            radix_compact: run_cfg.radix_compact,
                             detail,
                             shrunk,
                             reproducer,
@@ -378,14 +374,13 @@ fn write_reproducer(
     let _ = writeln!(
         text,
         "c msf-fuzz v1 case={case} generator={generator} algo={} threads={} base_size={} \
-         shuffle={} work_stealing={} seed={} radix_compact={}",
+         shuffle={} work_stealing={} seed={}",
         subject.slug(),
         cfg.threads,
         cfg.base_size,
         cfg.shuffle,
         cfg.work_stealing,
         cfg.seed,
-        cfg.radix_compact,
     );
     let _ = writeln!(text, "c msf-fuzz-detail {detail}");
     let mut body = Vec::new();
@@ -458,7 +453,6 @@ pub fn load_corpus(dir: &Path) -> std::io::Result<Vec<CorpusCase>> {
             seed: get("seed")?
                 .parse()
                 .map_err(|_| bad(format!("{}: bad seed=", path.display())))?,
-            radix_compact: parse_bool("radix_compact")?,
         };
         let graph = msf_graph::io::read_dimacs(text.as_bytes())?;
         cases.push(CorpusCase {

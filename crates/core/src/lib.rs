@@ -144,8 +144,9 @@ impl std::fmt::Display for Algorithm {
 #[derive(Debug, Clone)]
 pub struct MsfConfig {
     /// Logical processor count `p`: the number of SPMD workers (MST-BC) and
-    /// of parallel blocks (Borůvka variants). On a machine whose rayon pool
-    /// is at least this wide it is also the physical parallelism.
+    /// of parallel blocks (Borůvka variants). On a machine whose pool
+    /// (`msf_primitives::pool::width`) is at least this wide it is also the
+    /// physical parallelism.
     pub threads: usize,
     /// MST-BC recurses until the contracted problem has at most this many
     /// vertices, then solves it sequentially (the paper's `nb`).
@@ -158,21 +159,16 @@ pub struct MsfConfig {
     pub work_stealing: bool,
     /// Seed for the MST-BC permutation.
     pub seed: u64,
-    /// Bor-EL: replace the comparison sample sort in compact-graph with a
-    /// comparison-free radix grouping over packed endpoint pairs (the
-    /// compact-kernel ablation of EXPERIMENTS.md).
-    pub radix_compact: bool,
 }
 
 impl Default for MsfConfig {
     fn default() -> Self {
         MsfConfig {
-            threads: rayon::current_num_threads().max(1),
+            threads: msf_primitives::pool::width(),
             base_size: 64,
             shuffle: true,
             work_stealing: true,
             seed: 0xB0C0,
-            radix_compact: false,
         }
     }
 }

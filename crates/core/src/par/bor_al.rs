@@ -25,8 +25,8 @@ use msf_graph::{EdgeKey, EdgeList, OrderedWeight};
 use msf_primitives::arena::Arena;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::obs;
+use msf_primitives::pool;
 use msf_primitives::sort::two_level_sort_by;
-use rayon::prelude::*;
 
 use crate::par::common::{connect_components, emit_unique, group_by_label, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
@@ -163,27 +163,23 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig, policy: AllocPolicy) -> MsfResult {
         ),
         AllocPolicy::ThreadArena => {
             let mut workers = std::mem::take(&mut spare);
-            let spans_per_worker: Vec<Vec<(u32, u32)>> = workers
-                .par_iter_mut()
-                .enumerate()
-                .map(|(t, w)| {
-                    let r = msf_primitives::block_range(n, p, t);
-                    w.arena.reset();
-                    let mut spans = Vec::with_capacity(r.len());
-                    for v in r {
-                        w.merge_buf.clear();
-                        w.merge_buf
-                            .extend(csr.neighbors(v as u32).map(|(t2, w2, id)| AdjEntry {
-                                t: t2,
-                                w: w2,
-                                id,
-                            }));
-                        let av = w.arena.alloc_from(&w.merge_buf);
-                        spans.push((av.start() as u32, av.len() as u32));
-                    }
-                    spans
-                })
-                .collect();
+            let spans_per_worker: Vec<Vec<(u32, u32)>> = pool::map_mut(&mut workers, |t, w| {
+                let r = msf_primitives::block_range(n, p, t);
+                w.arena.reset();
+                let mut spans = Vec::with_capacity(r.len());
+                for v in r {
+                    w.merge_buf.clear();
+                    w.merge_buf
+                        .extend(csr.neighbors(v as u32).map(|(t2, w2, id)| AdjEntry {
+                            t: t2,
+                            w: w2,
+                            id,
+                        }));
+                    let av = w.arena.alloc_from(&w.merge_buf);
+                    spans.push((av.start() as u32, av.len() as u32));
+                }
+                spans
+            });
             let mut index = Vec::with_capacity(n);
             for (t, spans) in spans_per_worker.into_iter().enumerate() {
                 for (s0, l) in spans {
@@ -268,28 +264,25 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig, policy: AllocPolicy) -> MsfResult {
 /// find-min over per-vertex lists: returns the hook targets (`v` itself when
 /// the list is empty) and the chosen edge ids.
 fn find_min(lists: &Lists, n: usize, p: usize, meters: &mut [WorkMeter]) -> (Vec<u32>, Vec<u32>) {
-    let parts: Vec<(Vec<u32>, Vec<u32>, WorkMeter)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = msf_primitives::block_range(n, p, t);
-            let mut meter = WorkMeter::new();
-            let mut to = Vec::with_capacity(r.len());
-            let mut chosen = Vec::new();
-            for v in r {
-                let list = lists.list(v);
-                meter.mem(1);
-                meter.ops(list.len() as u64);
-                match list.iter().min_by_key(|e| e.key()) {
-                    Some(best) => {
-                        to.push(best.t);
-                        chosen.push(best.id);
-                    }
-                    None => to.push(v as u32),
+    let parts: Vec<(Vec<u32>, Vec<u32>, WorkMeter)> = pool::map_collect(p, 1, |t| {
+        let r = msf_primitives::block_range(n, p, t);
+        let mut meter = WorkMeter::new();
+        let mut to = Vec::with_capacity(r.len());
+        let mut chosen = Vec::new();
+        for v in r {
+            let list = lists.list(v);
+            meter.mem(1);
+            meter.ops(list.len() as u64);
+            match list.iter().min_by_key(|e| e.key()) {
+                Some(best) => {
+                    to.push(best.t);
+                    chosen.push(best.id);
                 }
+                None => to.push(v as u32),
             }
-            (to, chosen, meter)
-        })
-        .collect();
+        }
+        (to, chosen, meter)
+    });
     let mut to = Vec::with_capacity(n);
     let mut chosen = Vec::new();
     for (t, (tpart, cpart, m)) in parts.into_iter().enumerate() {
@@ -355,38 +348,29 @@ fn compact(
         // Bor-AL: each worker heap-allocates one fresh Vec per supervertex
         // list, every iteration — the allocator-contention baseline.
         AllocPolicy::SystemHeap => {
-            let parts: Vec<(Vec<Vec<AdjEntry>>, WorkMeter)> = (0..p)
-                .into_par_iter()
-                .map(|t| {
-                    let r = msf_primitives::block_range(k, p, t);
-                    let mut meter = WorkMeter::new();
-                    let mut built: Vec<Vec<AdjEntry>> = Vec::with_capacity(r.len());
-                    let mut scratch: Vec<AdjEntry> = Vec::new();
-                    let mut seg_bounds: Vec<usize> = Vec::new();
-                    let mut merge = MergeScratch::default();
-                    for s in r {
-                        build_segments(
-                            lists,
-                            labels,
-                            &order[starts[s]..starts[s + 1]],
-                            s as u32,
-                            &mut scratch,
-                            &mut seg_bounds,
-                            &mut meter,
-                        );
-                        let mut list = Vec::with_capacity(scratch.len());
-                        merge_segments_into(
-                            &scratch,
-                            &seg_bounds,
-                            &mut merge,
-                            &mut list,
-                            &mut meter,
-                        );
-                        built.push(list);
-                    }
-                    (built, meter)
-                })
-                .collect();
+            let parts: Vec<(Vec<Vec<AdjEntry>>, WorkMeter)> = pool::map_collect(p, 1, |t| {
+                let r = msf_primitives::block_range(k, p, t);
+                let mut meter = WorkMeter::new();
+                let mut built: Vec<Vec<AdjEntry>> = Vec::with_capacity(r.len());
+                let mut scratch: Vec<AdjEntry> = Vec::new();
+                let mut seg_bounds: Vec<usize> = Vec::new();
+                let mut merge = MergeScratch::default();
+                for s in r {
+                    build_segments(
+                        lists,
+                        labels,
+                        &order[starts[s]..starts[s + 1]],
+                        s as u32,
+                        &mut scratch,
+                        &mut seg_bounds,
+                        &mut meter,
+                    );
+                    let mut list = Vec::with_capacity(scratch.len());
+                    merge_segments_into(&scratch, &seg_bounds, &mut merge, &mut list, &mut meter);
+                    built.push(list);
+                }
+                (built, meter)
+            });
             let mut lists: Vec<Vec<AdjEntry>> = Vec::with_capacity(k);
             for (t, (built, m)) in parts.into_iter().enumerate() {
                 meters[t] = meters[t] + m;
@@ -401,39 +385,35 @@ fn compact(
             if workers.len() < p {
                 workers.resize_with(p, ArenaWorker::default);
             }
-            let parts: Vec<(Vec<(u32, u32)>, WorkMeter)> = workers
-                .par_iter_mut()
-                .enumerate()
-                .map(|(t, w)| {
-                    let r = msf_primitives::block_range(k, p, t);
-                    let mut meter = WorkMeter::new();
-                    w.arena.reset();
-                    let mut spans: Vec<(u32, u32)> = Vec::with_capacity(r.len());
-                    for s in r {
-                        let (scratch, seg_bounds) = (&mut w.scratch, &mut w.seg_bounds);
-                        build_segments(
-                            lists,
-                            labels,
-                            &order[starts[s]..starts[s + 1]],
-                            s as u32,
-                            scratch,
-                            seg_bounds,
-                            &mut meter,
-                        );
-                        w.merge_buf.clear();
-                        merge_segments_into(
-                            &w.scratch,
-                            &w.seg_bounds,
-                            &mut w.merge,
-                            &mut w.merge_buf,
-                            &mut meter,
-                        );
-                        let av = w.arena.alloc_from(&w.merge_buf);
-                        spans.push((av.start() as u32, av.len() as u32));
-                    }
-                    (spans, meter)
-                })
-                .collect();
+            let parts: Vec<(Vec<(u32, u32)>, WorkMeter)> = pool::map_mut(&mut workers, |t, w| {
+                let r = msf_primitives::block_range(k, p, t);
+                let mut meter = WorkMeter::new();
+                w.arena.reset();
+                let mut spans: Vec<(u32, u32)> = Vec::with_capacity(r.len());
+                for s in r {
+                    let (scratch, seg_bounds) = (&mut w.scratch, &mut w.seg_bounds);
+                    build_segments(
+                        lists,
+                        labels,
+                        &order[starts[s]..starts[s + 1]],
+                        s as u32,
+                        scratch,
+                        seg_bounds,
+                        &mut meter,
+                    );
+                    w.merge_buf.clear();
+                    merge_segments_into(
+                        &w.scratch,
+                        &w.seg_bounds,
+                        &mut w.merge,
+                        &mut w.merge_buf,
+                        &mut meter,
+                    );
+                    let av = w.arena.alloc_from(&w.merge_buf);
+                    spans.push((av.start() as u32, av.len() as u32));
+                }
+                (spans, meter)
+            });
             let mut index: Vec<(u32, u32, u32)> = Vec::with_capacity(k);
             for (t, (spans, m)) in parts.into_iter().enumerate() {
                 meters[t] = meters[t] + m;

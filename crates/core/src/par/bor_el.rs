@@ -16,8 +16,8 @@ use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::obs;
 
 use crate::par::common::{
-    connect_components, emit_unique, radix_group_and_dedup, relabel_and_filter, segment_starts,
-    segmented_find_min, sort_and_dedup, PHASE_OVERHEAD,
+    connect_components, emit_unique, relabel_and_filter, segment_starts, segmented_find_min,
+    sort_and_dedup, PHASE_OVERHEAD,
 };
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
 use crate::{MsfConfig, MsfResult};
@@ -29,14 +29,9 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
     let mut stats = RunStats::new("Bor-EL", p);
 
     // Setup: mirror to directed pairs and establish the sorted invariant.
-    let compact = if cfg.radix_compact {
-        radix_group_and_dedup
-    } else {
-        sort_and_dedup
-    };
     let setup = StepSpan::begin(StepKind::Setup, 0);
     let mut setup_meters = vec![WorkMeter::new(); p];
-    let mut edges = compact(g.to_directed_pairs(), p, &mut setup_meters);
+    let mut edges = sort_and_dedup(g.to_directed_pairs(), p, &mut setup_meters);
     stats.add_flat_cost(setup.finish(&setup_meters, PHASE_OVERHEAD).modeled_max);
 
     let mut n = g.num_vertices();
@@ -89,7 +84,7 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
         let step = StepSpan::begin(StepKind::Compact, stats.iterations.len());
         let mut cg_meters = vec![WorkMeter::new(); p];
         let survivors = relabel_and_filter(&edges, &labels, p, &mut cg_meters);
-        edges = compact(survivors, p, &mut cg_meters);
+        edges = sort_and_dedup(survivors, p, &mut cg_meters);
         n = k as usize;
         it.compact = step.finish(&cg_meters, PHASE_OVERHEAD);
 
@@ -152,27 +147,6 @@ mod tests {
             assert!(w[1].directed_edges < w[0].directed_edges);
         }
         assert!(r.stats.modeled_cost > 0);
-    }
-
-    #[test]
-    fn radix_compact_produces_identical_forests() {
-        for seed in 0..3u64 {
-            let g = random_graph(&GeneratorConfig::with_seed(seed), 500, 2500);
-            let sample = msf(&g, &cfg(4));
-            let radix = msf(
-                &g,
-                &MsfConfig {
-                    radix_compact: true,
-                    ..cfg(4)
-                },
-            );
-            assert_eq!(sample.edges, radix.edges, "seed {seed}");
-            // Same iteration structure too: the compact output is identical.
-            assert_eq!(sample.stats.iterations.len(), radix.stats.iterations.len());
-            for (a, b) in sample.stats.iterations.iter().zip(&radix.stats.iterations) {
-                assert_eq!(a.directed_edges, b.directed_edges);
-            }
-        }
     }
 
     #[test]

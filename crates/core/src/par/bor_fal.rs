@@ -14,7 +14,7 @@ use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::csr;
 use msf_primitives::fused::record_traffic;
 use msf_primitives::obs;
-use rayon::prelude::*;
+use msf_primitives::pool;
 
 use crate::par::common::{connect_components, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
@@ -131,43 +131,40 @@ fn find_min(flex: &FlexAdjacencyList, p: usize, meters: &mut [WorkMeter]) -> (Ve
     // (supervertex, weight, edge id, hook target) of a block's lightest
     // external edge per supervertex it covers.
     type Partial = (u32, f64, u32, u32);
-    let parts: Vec<(Vec<Partial>, WorkMeter)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = block_range(flex.num_vertices(), p, t);
-            let mut meter = WorkMeter::new();
-            let mut partials: Vec<Partial> = Vec::new();
-            let mut at = r.start;
-            while at < r.end {
-                // The supervertex owning this member; its members run on
-                // to the next start, or past the block's end.
-                let s = flex.supervertex_of(flex.member(at));
-                let seg_end = starts[s as usize + 1].min(r.end);
-                let (mut bw, mut bid, mut bts) = (f64::INFINITY, u32::MAX, u32::MAX);
-                for v in (at..seg_end).map(|i| flex.member(i)) {
-                    // One member hop (the linked-list pointer chase), and
-                    // one scattered lookup-table read per edge entry: every
-                    // scan translates through the table. Self-loops are
-                    // filtered here; the (weight, id) order picks the
-                    // lightest of any multi-edges.
-                    let degree = flex.base().degree(v) as u64;
-                    meter.mem(1 + degree);
-                    meter.ops(degree);
-                    for (nb, w, id) in flex.base().neighbors(v) {
-                        let ts = flex.supervertex_of(nb);
-                        if ts != s && (w < bw || (w == bw && id < bid)) {
-                            (bw, bid, bts) = (w, id, ts);
-                        }
+    let parts: Vec<(Vec<Partial>, WorkMeter)> = pool::map_collect(p, 1, |t| {
+        let r = block_range(flex.num_vertices(), p, t);
+        let mut meter = WorkMeter::new();
+        let mut partials: Vec<Partial> = Vec::new();
+        let mut at = r.start;
+        while at < r.end {
+            // The supervertex owning this member; its members run on
+            // to the next start, or past the block's end.
+            let s = flex.supervertex_of(flex.member(at));
+            let seg_end = starts[s as usize + 1].min(r.end);
+            let (mut bw, mut bid, mut bts) = (f64::INFINITY, u32::MAX, u32::MAX);
+            for v in (at..seg_end).map(|i| flex.member(i)) {
+                // One member hop (the linked-list pointer chase), and
+                // one scattered lookup-table read per edge entry: every
+                // scan translates through the table. Self-loops are
+                // filtered here; the (weight, id) order picks the
+                // lightest of any multi-edges.
+                let degree = flex.base().degree(v) as u64;
+                meter.mem(1 + degree);
+                meter.ops(degree);
+                for (nb, w, id) in flex.base().neighbors(v) {
+                    let ts = flex.supervertex_of(nb);
+                    if ts != s && (w < bw || (w == bw && id < bid)) {
+                        (bw, bid, bts) = (w, id, ts);
                     }
                 }
-                if bts != u32::MAX {
-                    partials.push((s, bw, bid, bts));
-                }
-                at = seg_end;
             }
-            (partials, meter)
-        })
-        .collect();
+            if bts != u32::MAX {
+                partials.push((s, bw, bid, bts));
+            }
+            at = seg_end;
+        }
+        (partials, meter)
+    });
 
     let mut to: Vec<u32> = (0..flex.num_supervertices() as u32).collect();
     let mut chosen: Vec<u32> = Vec::new();

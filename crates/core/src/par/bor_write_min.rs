@@ -48,7 +48,7 @@ use msf_graph::{Edge, EdgeList};
 use msf_primitives::atomic::{packed_edge_key, MinSlots, EMPTY};
 use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::obs;
-use rayon::prelude::*;
+use msf_primitives::pool;
 
 use crate::par::common::{connect_components, emit_unique, write_min_race, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
@@ -219,27 +219,24 @@ fn harvest(
     meters: &mut [WorkMeter],
     decode: impl Fn(&Edge, u32) -> (u32, u32) + Sync,
 ) -> (Vec<u32>, Vec<u32>) {
-    let parts: Vec<(Vec<u32>, Vec<u32>, WorkMeter)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = msf_primitives::block_range(n, p, t);
-            let mut meter = WorkMeter::new();
-            let mut chosen = Vec::new();
-            let mut to = Vec::with_capacity(r.len());
-            for v in r {
-                meter.mem(1);
-                let s = slots.get(v);
-                if s == EMPTY {
-                    to.push(v as u32);
-                } else {
-                    let (id, target) = decode(&edges[s as usize], v as u32);
-                    chosen.push(id);
-                    to.push(target);
-                }
+    let parts: Vec<(Vec<u32>, Vec<u32>, WorkMeter)> = pool::map_collect(p, 1, |t| {
+        let r = msf_primitives::block_range(n, p, t);
+        let mut meter = WorkMeter::new();
+        let mut chosen = Vec::new();
+        let mut to = Vec::with_capacity(r.len());
+        for v in r {
+            meter.mem(1);
+            let s = slots.get(v);
+            if s == EMPTY {
+                to.push(v as u32);
+            } else {
+                let (id, target) = decode(&edges[s as usize], v as u32);
+                chosen.push(id);
+                to.push(target);
             }
-            (chosen, to, meter)
-        })
-        .collect();
+        }
+        (chosen, to, meter)
+    });
     let mut chosen = Vec::new();
     let mut to = Vec::with_capacity(n);
     for (t, (c, t_part, m)) in parts.into_iter().enumerate() {

@@ -8,9 +8,8 @@ use msf_graph::{Edge, OrderedWeight};
 use msf_primitives::atomic::{packed_edge_key, MinSlots};
 use msf_primitives::connectivity::{pointer_jump, relabel_consecutive};
 use msf_primitives::cost::WorkMeter;
-use msf_primitives::csr;
 use msf_primitives::sort::{sample_sort_by_key, SampleSortConfig};
-use rayon::prelude::*;
+use msf_primitives::{csr, pool};
 
 /// Modeled fixed cost of launching and barrier-joining one parallel phase
 /// (fork overhead, splitter selection, cache-line ping-pong on shared
@@ -113,10 +112,9 @@ pub(crate) fn sort_and_dedup(edges: Vec<Edge>, p: usize, meters: &mut [WorkMeter
     };
     let sorted = sample_sort_by_key(edges, contract_key, cfg);
     // Keep the head of each (u, v) run.
-    let keep: Vec<bool> = (0..len)
-        .into_par_iter()
-        .map(|i| i == 0 || (sorted[i].u, sorted[i].v) != (sorted[i - 1].u, sorted[i - 1].v))
-        .collect();
+    let keep: Vec<bool> = pool::map_collect(len, 1, |i| {
+        i == 0 || (sorted[i].u, sorted[i].v) != (sorted[i - 1].u, sorted[i - 1].v)
+    });
     let out = msf_primitives::prefix::par_filter(&sorted, &keep, p);
     // Modeled cost per worker, following the paper's sample-sort complexity
     // (Eq. 2): each element is bucketed (1 scattered write), gathered
@@ -130,58 +128,14 @@ pub(crate) fn sort_and_dedup(edges: Vec<Edge>, p: usize, meters: &mut [WorkMeter
     out
 }
 
-/// Radix-based alternative to [`sort_and_dedup`]: group edges by the packed
-/// `(u, v)` endpoint pair with a comparison-free LSD radix sort, then keep
-/// each group's minimum-key edge with one linear scan. Produces exactly the
-/// same output (sorted by source then target, one minimum edge per pair);
-/// exchanged for the sample sort via `MsfConfig::radix_compact` (the
-/// compact-kernel ablation of EXPERIMENTS.md).
-pub(crate) fn radix_group_and_dedup(
-    mut edges: Vec<Edge>,
-    p: usize,
-    meters: &mut [WorkMeter],
-) -> Vec<Edge> {
-    let len = edges.len();
-    if len == 0 {
-        return edges;
-    }
-    msf_primitives::sort::radix_sort_by_key(&mut edges, |e| {
-        (u64::from(e.u) << 32) | u64::from(e.v)
-    });
-    let mut out: Vec<Edge> = Vec::with_capacity(len);
-    let mut best = edges[0];
-    for &e in &edges[1..] {
-        if (e.u, e.v) == (best.u, best.v) {
-            if e.key() < best.key() {
-                best = e;
-            }
-        } else {
-            out.push(best);
-            best = e;
-        }
-    }
-    out.push(best);
-    // Modeled cost: ~`passes` counting passes of contiguous reads plus one
-    // scattered write per element per pass, split across p workers.
-    let passes = 8u64; // two u32 endpoints, byte digits
-    let per = (len / p.max(1)) as u64 + 1;
-    for m in meters.iter_mut() {
-        m.mem(per * passes / 4);
-        m.ops(per * passes);
-    }
-    out
-}
-
 /// Segment starts of a (sorted-by-source) directed edge array: `seg[v]` is
 /// the first index whose source is ≥ v, computed by `p` blocks of binary
 /// searches; `seg[n] == edges.len()`.
 pub(crate) fn segment_starts(edges: &[Edge], n: usize, p: usize) -> Vec<usize> {
     let p = p.max(1);
-    let mut seg: Vec<usize> = (0..n)
-        .into_par_iter()
-        .with_min_len(n.div_ceil(p))
-        .map(|v| edges.partition_point(|e| (e.u as usize) < v))
-        .collect();
+    let mut seg: Vec<usize> = pool::map_collect(n, n.div_ceil(p), |v| {
+        edges.partition_point(|e| (e.u as usize) < v)
+    });
     seg.push(edges.len());
     seg
 }
@@ -197,31 +151,28 @@ pub(crate) fn segmented_find_min(
 ) -> Vec<u32> {
     let n = seg.len() - 1;
     let p = p.max(1);
-    let parts: Vec<(Vec<u32>, WorkMeter)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = msf_primitives::block_range(n, p, t);
-            let mut meter = WorkMeter::new();
-            let mut out = Vec::with_capacity(r.len());
-            for v in r {
-                let (lo, hi) = (seg[v], seg[v + 1]);
-                meter.mem(1);
-                meter.ops((hi - lo) as u64);
-                if lo == hi {
-                    out.push(u32::MAX);
-                    continue;
-                }
-                let mut best = lo;
-                for i in lo + 1..hi {
-                    if edges[i].key() < edges[best].key() {
-                        best = i;
-                    }
-                }
-                out.push(best as u32);
+    let parts: Vec<(Vec<u32>, WorkMeter)> = pool::map_collect(p, 1, |t| {
+        let r = msf_primitives::block_range(n, p, t);
+        let mut meter = WorkMeter::new();
+        let mut out = Vec::with_capacity(r.len());
+        for v in r {
+            let (lo, hi) = (seg[v], seg[v + 1]);
+            meter.mem(1);
+            meter.ops((hi - lo) as u64);
+            if lo == hi {
+                out.push(u32::MAX);
+                continue;
             }
-            (out, meter)
-        })
-        .collect();
+            let mut best = lo;
+            for i in lo + 1..hi {
+                if edges[i].key() < edges[best].key() {
+                    best = i;
+                }
+            }
+            out.push(best as u32);
+        }
+        (out, meter)
+    });
     let mut out = Vec::with_capacity(n);
     for (t, (part, m)) in parts.into_iter().enumerate() {
         meters[t] = meters[t] + m;
@@ -230,20 +181,15 @@ pub(crate) fn segmented_find_min(
     out
 }
 
-/// Whether every write of a rayon-facade race is guaranteed to run on the
-/// calling thread: the sequential escape hatch is on, or the pool has a
-/// single worker (fork/join then runs inline). This is the soundness
-/// condition for [`MinSlots::new_single_writer`]'s plain path — note it is
-/// about the *pool*, not the host: an `SmpTeam` leases real threads at any
-/// pool width and never qualifies.
-pub(crate) fn single_writer_here() -> bool {
-    msf_primitives::pool::sequential_here() || msf_primitives::pool::width() == 1
-}
-
-/// [`MinSlots`] sized `n`, in single-writer mode when the calling context
-/// guarantees one writer ([`single_writer_here`]).
+/// [`MinSlots`] sized `n`, in single-writer mode when every write of a race
+/// run in the pool's loops is guaranteed to run on the calling thread
+/// ([`pool::runs_inline`]: the sequential escape hatch is on, or the pool
+/// has a single worker). This is the soundness condition for
+/// [`MinSlots::new_single_writer`]'s plain path — note it is about the
+/// *pool*, not the host: an `SmpTeam` leases real threads at any pool width
+/// and never qualifies.
 pub(crate) fn min_slots_here(n: usize) -> MinSlots {
-    if single_writer_here() {
+    if pool::runs_inline() {
         MinSlots::new_single_writer(n)
     } else {
         MinSlots::new(n)
@@ -267,23 +213,20 @@ pub(crate) fn write_min_race(
         let e = &edges[i as usize];
         packed_edge_key(e.w, e.id)
     };
-    let parts: Vec<WorkMeter> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = msf_primitives::block_range(edges.len(), p, t);
-            let mut meter = WorkMeter::new();
-            // Slot initialization, amortized over the blocks.
-            meter.mem((n / p) as u64 + 1);
-            for i in r {
-                let e = &edges[i];
-                // Two atomic RMWs per edge (plus rare retry reloads).
-                meter.mem(2);
-                slots.write_min_by(e.u as usize, i as u64, key);
-                slots.write_min_by(e.v as usize, i as u64, key);
-            }
-            meter
-        })
-        .collect();
+    let parts: Vec<WorkMeter> = pool::map_collect(p, 1, |t| {
+        let r = msf_primitives::block_range(edges.len(), p, t);
+        let mut meter = WorkMeter::new();
+        // Slot initialization, amortized over the blocks.
+        meter.mem((n / p) as u64 + 1);
+        for i in r {
+            let e = &edges[i];
+            // Two atomic RMWs per edge (plus rare retry reloads).
+            meter.mem(2);
+            slots.write_min_by(e.u as usize, i as u64, key);
+            slots.write_min_by(e.v as usize, i as u64, key);
+        }
+        meter
+    });
     for (t, m) in parts.into_iter().enumerate() {
         meters[t] = meters[t] + m;
     }

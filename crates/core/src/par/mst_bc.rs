@@ -34,10 +34,10 @@ use msf_primitives::fused::record_traffic;
 use msf_primitives::heap::IndexedHeap;
 use msf_primitives::obs;
 use msf_primitives::permutation::parallel_permutation;
+use msf_primitives::pool;
 use msf_primitives::steal::StealingPartitions;
 use msf_primitives::team::SmpTeam;
 use msf_primitives::unionfind::UnionFind;
-use rayon::prelude::*;
 
 use crate::par::common::{connect_components_from_roots, relabel_and_filter, PHASE_OVERHEAD};
 use crate::stats::{IterationStats, MstBcStats, RunStats, StepKind, StepSpan};
@@ -230,32 +230,29 @@ fn merge_parallel_edges(
         .map(|t| starts.partition_point(|&o| o < total * t / p))
         .collect();
     bounds.push(k);
-    let parts: Vec<Vec<Edge>> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let rows = bounds[t]..bounds[t + 1];
-            let mut out: Vec<Edge> =
-                Vec::with_capacity(lower.offsets[rows.end] - lower.offsets[rows.start]);
-            let mut marker = vec![0u32; k];
-            for a in rows {
-                let row_start = out.len();
-                for (b, i) in lower.row(a as u32) {
-                    let e = &survivors[i as usize];
-                    let kept = marker[b as usize] as usize;
-                    if kept > row_start {
-                        let slot = &mut out[kept - 1];
-                        if e.key() < slot.key() {
-                            *slot = Edge::new(a as u32, b, e.w, e.id);
-                        }
-                    } else {
-                        out.push(Edge::new(a as u32, b, e.w, e.id));
-                        marker[b as usize] = out.len() as u32;
+    let parts: Vec<Vec<Edge>> = pool::map_collect(p, 1, |t| {
+        let rows = bounds[t]..bounds[t + 1];
+        let mut out: Vec<Edge> =
+            Vec::with_capacity(lower.offsets[rows.end] - lower.offsets[rows.start]);
+        let mut marker = vec![0u32; k];
+        for a in rows {
+            let row_start = out.len();
+            for (b, i) in lower.row(a as u32) {
+                let e = &survivors[i as usize];
+                let kept = marker[b as usize] as usize;
+                if kept > row_start {
+                    let slot = &mut out[kept - 1];
+                    if e.key() < slot.key() {
+                        *slot = Edge::new(a as u32, b, e.w, e.id);
                     }
+                } else {
+                    out.push(Edge::new(a as u32, b, e.w, e.id));
+                    marker[b as usize] = out.len() as u32;
                 }
             }
-            out
-        })
-        .collect();
+        }
+        out
+    });
     let merged = parts.concat();
     // Modeled cost per block: each entry gathers its survivor and probes
     // the marker.
@@ -436,32 +433,29 @@ fn unvisited_min_edges(
     meters: &mut [WorkMeter],
 ) -> Vec<u32> {
     let n = visited.len();
-    let parts: Vec<(Vec<u32>, WorkMeter)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = block_range(n, p, t);
-            let mut meter = WorkMeter::new();
-            let mut found = Vec::new();
-            for v in r {
-                if visited[v] {
-                    continue;
-                }
-                meter.mem(1);
-                let mut best: Option<(EdgeKey, u32)> = None;
-                for (_, idx) in rows.row(v as u32) {
-                    meter.ops(1);
-                    let key = edges[idx as usize].key();
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, idx));
-                    }
-                }
-                if let Some((_, idx)) = best {
-                    found.push(idx);
+    let parts: Vec<(Vec<u32>, WorkMeter)> = pool::map_collect(p, 1, |t| {
+        let r = block_range(n, p, t);
+        let mut meter = WorkMeter::new();
+        let mut found = Vec::new();
+        for v in r {
+            if visited[v] {
+                continue;
+            }
+            meter.mem(1);
+            let mut best: Option<(EdgeKey, u32)> = None;
+            for (_, idx) in rows.row(v as u32) {
+                meter.ops(1);
+                let key = edges[idx as usize].key();
+                if best.is_none_or(|(bk, _)| key < bk) {
+                    best = Some((key, idx));
                 }
             }
-            (found, meter)
-        })
-        .collect();
+            if let Some((_, idx)) = best {
+                found.push(idx);
+            }
+        }
+        (found, meter)
+    });
     let mut found = Vec::new();
     for (t, (f, m)) in parts.into_iter().enumerate() {
         meters[t] = meters[t] + m;

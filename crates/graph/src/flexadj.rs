@@ -17,8 +17,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use msf_primitives::csr;
-use rayon::prelude::*;
+use msf_primitives::{csr, pool};
 
 use crate::adjacency::AdjacencyArray;
 use crate::edgelist::EdgeList;
@@ -50,7 +49,7 @@ impl FlexAdjacencyList {
     /// over `p` blocks.
     pub fn new(g: &EdgeList, p: usize) -> Self {
         let n = g.num_vertices();
-        let identity = || (0..n as u32).into_par_iter().map(AtomicU32::new).collect();
+        let identity = || pool::map_collect(n, 1, |v| AtomicU32::new(v as u32));
         FlexAdjacencyList {
             base: AdjacencyArray::from_edges(n, g.edges(), p),
             members: identity(),

@@ -13,7 +13,7 @@
 //! parallel map per level, for `max(1, bits(d))` levels. Each query is
 //! O(log d) and read-only, so the filtering pass parallelizes trivially.
 
-use rayon::prelude::*;
+use msf_primitives::pool;
 
 use crate::edge::{EdgeKey, OrderedWeight};
 
@@ -153,24 +153,20 @@ impl PathMaxForest {
         let mut hops = vec![base];
         for k in 1..levels {
             let prev = &hops[k - 1];
-            let next: Vec<Hop> = (0..n)
-                .into_par_iter()
-                .with_min_len(LEVEL_GRAIN)
-                .map(|v| match prev[v].up {
-                    NONE => Hop::ROOT,
-                    mid => {
-                        // When `mid` is a root this entry has no 2^k-th
-                        // ancestor (up = NONE) and no query reads it.
-                        let (h, m) = (prev[v], prev[mid as usize]);
-                        let max = h.key().max(m.key());
-                        Hop {
-                            w: max.w,
-                            id: max.id,
-                            up: m.up,
-                        }
+            let next: Vec<Hop> = pool::map_collect(n, LEVEL_GRAIN, |v| match prev[v].up {
+                NONE => Hop::ROOT,
+                mid => {
+                    // When `mid` is a root this entry has no 2^k-th
+                    // ancestor (up = NONE) and no query reads it.
+                    let (h, m) = (prev[v], prev[mid as usize]);
+                    let max = h.key().max(m.key());
+                    Hop {
+                        w: max.w,
+                        id: max.id,
+                        up: m.up,
                     }
-                })
-                .collect();
+                }
+            });
             hops.push(next);
         }
         PathMaxForest { hops, depth, comp }

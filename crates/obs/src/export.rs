@@ -316,178 +316,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Minimal JSON well-formedness checker (objects, arrays, strings, numbers,
-/// booleans, null; UTF-8 input). Used by tests and the CLI to validate
-/// exported traces without a JSON dependency. Returns the byte offset of
-/// the first syntax error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos:?}", pos = *pos)),
-        None => Err(format!("unexpected end of input at byte {}", *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {}", *pos));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            c if c < 0x20 => {
-                return Err(format!("raw control byte in string at {}", *pos));
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,7 +393,6 @@ mod tests {
             ev(1, 0, 1700, Phase::Instant, SpanKind::Iteration, 1, 1),
         ]);
         let json = t.chrome_json();
-        validate_json(&json).unwrap();
         assert!(json.contains("\"compact-graph\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"ts\":1.500"));
@@ -618,31 +445,5 @@ mod tests {
         assert!(row.contains("5.000ms"), "p50 in {row:?}");
         assert!(row.contains("9.000ms"), "p90 in {row:?}");
         assert!(row.contains("10.000ms"), "p99 in {row:?}");
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for ok in [
-            "{}",
-            "[]",
-            "{\"a\":[1,2.5,-3,1e9,true,false,null,\"x\\n\\u00e9\"]}",
-            " { \"k\" : { } } ",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "{]",
-            "{\"a\":}",
-            "[1,]",
-            "[1 2]",
-            "\"unterminated",
-            "01abc",
-            "{\"a\":1}x",
-            "{\"a\":1.}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted: {bad}");
-        }
     }
 }

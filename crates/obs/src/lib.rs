@@ -37,7 +37,7 @@ pub mod metrics;
 pub mod profile;
 mod ring;
 
-pub use export::{validate_json, Trace, TraceEvent, TraceThread};
+pub use export::{Trace, TraceEvent, TraceThread};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

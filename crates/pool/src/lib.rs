@@ -1,5 +1,5 @@
-//! `msf_pool`: the persistent work-stealing execution backend under the
-//! workspace's `rayon` facade and `SmpTeam`.
+//! `msf_pool`: the persistent work-stealing execution backend under every
+//! parallel kernel of the workspace and `SmpTeam`.
 //!
 //! The pool is **lazily initialized** (first `join`/width query builds it),
 //! **process-global** (one registry, leaked for `'static`), and
@@ -8,19 +8,20 @@
 //!
 //! - **Stealing workers** ([`registry`]): run fork-join jobs from per-worker
 //!   chase-lev-style deques (packed-CAS cursors, the `steal.rs` idiom) plus
-//!   an injector for external submissions. These power `rayon::join` and
-//!   every `par_iter` chain.
+//!   an injector for external submissions. These power [`join`] and the two
+//!   data-parallel loops built on it, [`map_collect`] (the `p`-block
+//!   par-for and the par map-collect over an index domain) and [`map_mut`]
+//!   (one task per per-block state).
 //! - **Team threads** ([`team`]): dedicated threads leased per
 //!   `SmpTeam::run` to host barrier-synchronized SPMD ranks, which must not
 //!   share stealing workers (blocking a worker on a barrier under the deque
 //!   stack discipline can deadlock when ranks outnumber cores).
 //!
 //! # Sequential escape hatch
-//! Three independent switches force the exact pre-pool sequential behaviour
+//! Two independent switches force the exact pre-pool sequential behaviour
 //! (same thread, same order, no pool threads touched):
 //!
 //! - `MSF_SEQUENTIAL=1` (or `true`/`yes`) in the environment,
-//! - the `sequential` cargo feature,
 //! - [`with_sequential`], a scoped, thread-local override for in-process
 //!   A/B comparisons (used by the thread-count matrix tests).
 //!
@@ -35,6 +36,7 @@ pub mod barrier;
 mod deque;
 mod job;
 mod latch;
+mod loops;
 mod registry;
 pub mod team;
 mod telemetry;
@@ -43,6 +45,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 pub use barrier::{BarrierPoisoned, SenseBarrier};
+pub use loops::{map_collect, map_mut};
 pub use team::{run_team, run_team_collect};
 pub use telemetry::{publish_metrics, PoolStats, PoolWorkerStats};
 
@@ -64,13 +67,10 @@ pub fn reset_telemetry_for_test() {
     telemetry::reset_published_for_test();
 }
 
-/// True when the process-wide sequential escape hatch is on: either the
-/// `sequential` cargo feature or `MSF_SEQUENTIAL=1|true|yes` in the
-/// environment (checked once, at first use).
+/// True when the process-wide sequential escape hatch is on:
+/// `MSF_SEQUENTIAL=1|true|yes` in the environment (checked once, at first
+/// use).
 pub fn sequential_env() -> bool {
-    if cfg!(feature = "sequential") {
-        return true;
-    }
     static FROM_ENV: OnceLock<bool> = OnceLock::new();
     *FROM_ENV.get_or_init(|| {
         std::env::var("MSF_SEQUENTIAL")
@@ -95,8 +95,9 @@ pub fn sequential_here() -> bool {
 
 /// Run `f` with the sequential escape hatch forced on for the calling
 /// thread (nesting-safe). Everything under `f` that consults the pool —
-/// `join`, the rayon facade, `SmpTeam` — runs inline on this thread in
-/// deterministic sequential order, exactly like `MSF_SEQUENTIAL=1`.
+/// `join`, `map_collect`, `map_mut`, `SmpTeam` — runs inline on this
+/// thread in deterministic sequential order, exactly like
+/// `MSF_SEQUENTIAL=1`.
 pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {
@@ -139,8 +140,8 @@ pub fn force_width(n: usize) -> usize {
 /// Potentially-parallel `join`: runs `a` on the calling thread while `b` is
 /// offered to the pool, returning both results.
 ///
-/// Runs strictly sequentially as `(a(), b())` when [`sequential_here`] is
-/// true or the pool width is 1 (the pool is then never even started).
+/// Runs strictly sequentially as `(a(), b())` when [`runs_inline`] (the
+/// pool is then never even started).
 ///
 /// # Panics
 /// If both closures panic, `a`'s payload is propagated (matching the
@@ -153,12 +154,20 @@ where
     RA: Send,
     RB: Send,
 {
-    if sequential_here() || width() == 1 {
+    if runs_inline() {
         let ra = a();
         let rb = b();
         return (ra, rb);
     }
     registry::join(a, b)
+}
+
+/// True when `join`, `map_collect` and `map_mut` run everything inline on
+/// the calling thread: the escape hatch is on ([`sequential_here`]) or the
+/// pool has a single worker.
+#[inline]
+pub fn runs_inline() -> bool {
+    sequential_here() || width() == 1
 }
 
 #[cfg(test)]

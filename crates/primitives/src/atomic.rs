@@ -111,9 +111,10 @@ impl MinSlots {
     /// `write_min_by` never re-derives the incumbent's key.
     ///
     /// **Caller contract:** every `write_min`/`write_min_by` on this array
-    /// happens on one thread. The rayon-facade algorithms satisfy it when
-    /// the pool has a single worker (everything runs inline); `SmpTeam`
-    /// ranks are real threads at any pool width and must use [`new`].
+    /// happens on one thread. Algorithms whose races run in the pool's
+    /// loops (`map_collect`, `map_mut`) satisfy it when the pool has a
+    /// single worker (everything runs inline); `SmpTeam` ranks are real
+    /// threads at any pool width and must use [`new`].
     pub fn new_single_writer(n: usize) -> MinSlots {
         MinSlots {
             store: Store::Single(

@@ -7,7 +7,9 @@
 //! the smaller-indexed endpoint yields a rooted forest, and O(log n) rounds
 //! of parallel pointer jumping collapse every vertex onto its root.
 
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use crate::pool;
 
 /// Length below which the jump rounds run sequentially.
 const PAR_THRESHOLD: usize = 1 << 14;
@@ -22,13 +24,15 @@ pub fn resolve_pseudo_forest(parent: &mut [u32]) {
     let n = parent.len();
     // Break 2-cycles: the smaller endpoint becomes the root.
     if n >= PAR_THRESHOLD {
-        let snapshot: Vec<u32> = parent.to_vec();
-        parent.par_iter_mut().enumerate().for_each(|(v, p)| {
-            let q = snapshot[*p as usize];
-            if q as usize == v && (*p as usize) > v {
-                *p = v as u32;
+        let broken = pool::map_collect(n, 1, |v| {
+            let p = parent[v];
+            if parent[p as usize] as usize == v && (p as usize) > v {
+                v as u32
+            } else {
+                p
             }
         });
+        parent.copy_from_slice(&broken);
     } else {
         for v in 0..n {
             let p = parent[v] as usize;
@@ -52,20 +56,18 @@ pub fn jump_to_roots(parent: &mut [u32]) {
             "pointer jumping did not converge; input was not a rooted forest"
         );
         let changed = if n >= PAR_THRESHOLD {
-            let snapshot: Vec<u32> = parent.to_vec();
-            parent
-                .par_iter_mut()
-                .map(|p| {
-                    let g = snapshot[*p as usize];
-                    if g != *p {
-                        *p = g;
-                        1usize
-                    } else {
-                        0
-                    }
-                })
-                .sum::<usize>()
-                > 0
+            // Loaded before it is stored, so once set the flag's cache line
+            // stays shared between workers; the fork-join publishes it.
+            let changed = AtomicBool::new(false);
+            let jumped = pool::map_collect(n, 1, |v| {
+                let g = parent[parent[v] as usize];
+                if g != parent[v] && !changed.load(Ordering::Relaxed) {
+                    changed.store(true, Ordering::Relaxed);
+                }
+                g
+            });
+            parent.copy_from_slice(&jumped);
+            changed.into_inner()
         } else {
             let mut any = false;
             for v in 0..n {

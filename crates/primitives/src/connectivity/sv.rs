@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-use rayon::prelude::*;
+use crate::pool;
 
 /// Edge lists shorter than this run the sequential union–find instead.
 const PAR_THRESHOLD: usize = 1 << 14;
@@ -33,7 +33,8 @@ pub fn connected_components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
         rounds += 1;
         assert!(rounds <= 64 + n.ilog2() as usize, "SV failed to converge");
         // Hook phase.
-        edges.par_iter().for_each(|&(u, v)| {
+        pool::map_collect(edges.len(), 1, |i| {
+            let (u, v) = edges[i];
             let pu = parent[u as usize].load(Ordering::Relaxed);
             let pv = parent[v as usize].load(Ordering::Relaxed);
             if pu == pv {
@@ -46,7 +47,8 @@ pub fn connected_components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
             }
         });
         // Shortcut phase: jump every vertex all the way to its current root.
-        parent.par_iter().for_each(|slot| {
+        pool::map_collect(n, 1, |v| {
+            let slot = &parent[v];
             let mut p = slot.load(Ordering::Relaxed);
             let mut g = parent[p as usize].load(Ordering::Relaxed);
             while g != p {

@@ -41,35 +41,21 @@ impl WorkMeter {
         self.ops += n;
     }
 
-    /// Weighted single-number cost: `ops + W * mem`, where `W` is the
-    /// DRAM-latency:ALU weight from [`mem_weight`]. The model charges a
-    /// non-contiguous access substantially more than an ALU op; the default
-    /// `W = 4` matches the ratio we measured on this host and can be tuned
-    /// per machine via `MSF_COST_MEM_WEIGHT` without affecting any
-    /// *relative* comparison. Everything derived from meter costs —
-    /// [`modeled_time`], [`total_work`], and the modeled speedup curves in
-    /// the bench harness — picks the weight up through here.
+    /// Weighted single-number cost: `ops + MEM_WEIGHT * mem`. The model
+    /// charges a non-contiguous access substantially more than an ALU op;
+    /// [`MEM_WEIGHT`] is the ratio measured on the development host, and no
+    /// *relative* comparison depends on its value. Everything derived from
+    /// meter costs — [`modeled_time`], [`total_work`], and the modeled
+    /// speedup curves in the bench harness — picks the weight up through
+    /// here.
     #[inline]
     pub fn cost(&self) -> u64 {
-        self.ops + mem_weight() * self.mem
+        self.ops + MEM_WEIGHT * self.mem
     }
 }
 
-/// The DRAM:ALU cost weight `W` used by [`WorkMeter::cost`]. Defaults to 4;
-/// override with `MSF_COST_MEM_WEIGHT` (clamped to 1..=1024). Read once and
-/// frozen for the process, so a run never mixes weights.
-pub fn mem_weight() -> u64 {
-    static WEIGHT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *WEIGHT.get_or_init(|| parse_mem_weight(std::env::var("MSF_COST_MEM_WEIGHT").ok().as_deref()))
-}
-
-const DEFAULT_MEM_WEIGHT: u64 = 4;
-
-fn parse_mem_weight(raw: Option<&str>) -> u64 {
-    raw.and_then(|s| s.trim().parse::<u64>().ok())
-        .map(|w| w.clamp(1, 1024))
-        .unwrap_or(DEFAULT_MEM_WEIGHT)
-}
+/// The DRAM:ALU cost weight `W` used by [`WorkMeter::cost`].
+pub const MEM_WEIGHT: u64 = 4;
 
 impl std::ops::Add for WorkMeter {
     type Output = WorkMeter;
@@ -156,17 +142,6 @@ mod tests {
         let b = WorkMeter { mem: 3, ops: 4 };
         let s: WorkMeter = [a, b].into_iter().sum();
         assert_eq!(s, WorkMeter { mem: 4, ops: 6 });
-    }
-
-    #[test]
-    fn mem_weight_parsing_defaults_and_clamps() {
-        assert_eq!(parse_mem_weight(None), 4);
-        assert_eq!(parse_mem_weight(Some("")), 4);
-        assert_eq!(parse_mem_weight(Some("junk")), 4);
-        assert_eq!(parse_mem_weight(Some("7")), 7);
-        assert_eq!(parse_mem_weight(Some(" 12 ")), 12);
-        assert_eq!(parse_mem_weight(Some("0")), 1);
-        assert_eq!(parse_mem_weight(Some("99999")), 1024);
     }
 
     #[test]

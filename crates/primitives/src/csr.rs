@@ -13,9 +13,8 @@
 //! so every row lists its slots in ascending item order at every `p` and
 //! every pool width. Linear work, no comparison sort, no `unsafe`.
 
-use crate::block_range;
 use crate::cost::WorkMeter;
-use rayon::prelude::*;
+use crate::{block_range, pool};
 
 /// Lay `items` out over `rows` rows and return the row offsets: `rows + 1`
 /// entries, the last one the total number of slots.
@@ -37,18 +36,15 @@ where
 {
     let p = p.max(1);
     // Pass 1: per-block row counts.
-    let mut counts: Vec<Vec<usize>> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let mut c = vec![0usize; rows];
-            for i in block_range(items, p, t) {
-                for (r, _) in slots(i) {
-                    c[r as usize] += 1;
-                }
+    let mut counts: Vec<Vec<usize>> = pool::map_collect(p, 1, |t| {
+        let mut c = vec![0usize; rows];
+        for i in block_range(items, p, t) {
+            for (r, _) in slots(i) {
+                c[r as usize] += 1;
             }
-            c
-        })
-        .collect();
+        }
+        c
+    });
     // Pass 2: row starts, and the counts turned into per-block cursors.
     // Sequential: rows·p additions, small next to the scatter at the p
     // this runs with.
@@ -63,26 +59,25 @@ where
         }
     }
     offsets.push(total);
-    // Pass 3: every block scatters through its own cursors.
-    counts
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(t, mut cursor)| {
-            for i in block_range(items, p, t) {
-                for (r, x) in slots(i) {
-                    let at = &mut cursor[r as usize];
-                    place(*at, x);
-                    *at += 1;
-                }
+    // Pass 3: every block scatters through its own cursors, and frees them
+    // on the thread that used them.
+    pool::map_mut(&mut counts, |t, cursors| {
+        let mut cursor = std::mem::take(cursors);
+        for i in block_range(items, p, t) {
+            for (r, x) in slots(i) {
+                let at = &mut cursor[r as usize];
+                place(*at, x);
+                *at += 1;
             }
-        });
+        }
+    });
     offsets
 }
 
 /// `len` zeroed atomics for [`build_rows`] to scatter into, first touched
 /// by the pool's workers in parallel.
 pub fn zeroed_slots<A: Default + Send>(len: usize) -> Vec<A> {
-    (0..len).into_par_iter().map(|_| A::default()).collect()
+    pool::map_collect(len, 1, |_| A::default())
 }
 
 /// Charge one [`build_rows`] call over `items` items of `per_item` slots

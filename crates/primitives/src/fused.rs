@@ -30,9 +30,8 @@
 
 use std::sync::OnceLock;
 
-use rayon::prelude::*;
-
 use crate::obs::metrics::LazyCounter;
+use crate::pool;
 use crate::prefix::{exclusive_scan, PAR_THRESHOLD};
 
 static FUSED_BYTES_READ: LazyCounter = LazyCounter::new("kernel.fused_bytes_read");
@@ -78,11 +77,7 @@ pub fn filter_compact_indexed<U: Copy + Send + Sync>(
     // concurrently, and the visit order between the two paths is
     // observationally identical (each index exactly once; survivors in
     // index order).
-    if p == 1
-        || len < PAR_THRESHOLD
-        || crate::pool::sequential_here()
-        || rayon::current_num_threads() <= 1
-    {
+    if p == 1 || len < PAR_THRESHOLD || pool::runs_inline() {
         let mut out = Vec::with_capacity(len);
         for i in 0..len {
             if let Some(u) = visit(i) {
@@ -92,19 +87,16 @@ pub fn filter_compact_indexed<U: Copy + Send + Sync>(
         return out;
     }
     // Pass 1: each block reads its range once, staging survivors locally.
-    let parts: Vec<Vec<U>> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = crate::block_range(len, p, t);
-            let mut out = Vec::with_capacity(r.len());
-            for i in r {
-                if let Some(u) = visit(i) {
-                    out.push(u);
-                }
+    let parts: Vec<Vec<U>> = pool::map_collect(p, 1, |t| {
+        let r = crate::block_range(len, p, t);
+        let mut out = Vec::with_capacity(r.len());
+        for i in r {
+            if let Some(u) = visit(i) {
+                out.push(u);
             }
-            out
-        })
-        .collect();
+        }
+        out
+    });
     // Placement: exclusive scan of block lengths sizes the output exactly,
     // then the p block runs are spliced in order. Concurrent placement
     // writes the output twice (the `fill` initialization, then the copy
@@ -122,17 +114,17 @@ pub fn filter_compact_indexed<U: Copy + Send + Sync>(
         return out;
     }
     let mut out = vec![fill; total];
-    let mut regions: Vec<&mut [U]> = Vec::with_capacity(p);
+    let mut copies: Vec<(Vec<U>, &mut [U])> = Vec::with_capacity(p);
     let mut rest: &mut [U] = &mut out;
-    for part in &parts {
+    for part in parts {
         let (head, tail) = rest.split_at_mut(part.len());
-        regions.push(head);
+        copies.push((part, head));
         rest = tail;
     }
-    parts
-        .into_par_iter()
-        .zip(regions.into_par_iter())
-        .for_each(|(part, dst)| dst.copy_from_slice(&part));
+    // Each block's staging vector is freed by the task that copied it.
+    pool::map_mut(&mut copies, |_, (part, dst)| {
+        dst.copy_from_slice(&std::mem::take(part))
+    });
     out
 }
 
@@ -160,11 +152,7 @@ pub fn partition_compact<T: Sync + Copy + Send>(
 ) -> (Vec<T>, Vec<T>) {
     let len = input.len();
     let p = p.max(1);
-    if p == 1
-        || len < PAR_THRESHOLD
-        || crate::pool::sequential_here()
-        || rayon::current_num_threads() <= 1
-    {
+    if p == 1 || len < PAR_THRESHOLD || pool::runs_inline() {
         let mut light = Vec::with_capacity(len);
         let mut heavy = Vec::new();
         for (i, t) in input.iter().enumerate() {
@@ -177,22 +165,19 @@ pub fn partition_compact<T: Sync + Copy + Send>(
         record_traffic(std::mem::size_of_val(input) as u64 * 2);
         return (light, heavy);
     }
-    let parts: Vec<(Vec<T>, Vec<T>)> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let r = crate::block_range(len, p, t);
-            let mut light = Vec::with_capacity(r.len());
-            let mut heavy = Vec::new();
-            for i in r {
-                if classify(i, &input[i]) {
-                    light.push(input[i]);
-                } else {
-                    heavy.push(input[i]);
-                }
+    let parts: Vec<(Vec<T>, Vec<T>)> = pool::map_collect(p, 1, |t| {
+        let r = crate::block_range(len, p, t);
+        let mut light = Vec::with_capacity(r.len());
+        let mut heavy = Vec::new();
+        for i in r {
+            if classify(i, &input[i]) {
+                light.push(input[i]);
+            } else {
+                heavy.push(input[i]);
             }
-            (light, heavy)
-        })
-        .collect();
+        }
+        (light, heavy)
+    });
     fn pick<T>(pr: &(Vec<T>, Vec<T>), side: usize) -> &Vec<T> {
         if side == 0 {
             &pr.0

@@ -9,8 +9,9 @@
 //!   model every per-processor algorithm in the paper is written against.
 //! * [`pool`] — the persistent work-stealing execution backend (re-export
 //!   of the `msf-pool` crate): process-global stealing workers with
-//!   chase-lev-style deques behind the `rayon` facade, leasable team
-//!   threads behind [`team::SmpTeam`], sense-reversing barriers, and the
+//!   chase-lev-style deques behind `join` and the two data-parallel loops
+//!   every kernel uses (`map_collect`, `map_mut`), leasable team threads
+//!   behind [`team::SmpTeam`], sense-reversing barriers, and the
 //!   `MSF_SEQUENTIAL` escape hatch.
 //! * [`prefix`] — the sequential exclusive scan and parallel compaction.
 //! * [`csr`] — compressed sparse rows by a `p`-block counting sort, the

@@ -9,9 +9,8 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
-use crate::block_range;
+use crate::{block_range, pool};
 
 /// Produce a random permutation of `0..n` using `p`-way bucketting, seeded
 /// deterministically (each run reproducible; vary `seed` for fresh draws).
@@ -21,32 +20,26 @@ pub fn parallel_permutation(n: usize, p: usize, seed: u64) -> Vec<u32> {
         return Vec::new();
     }
     // Phase 1: each worker scatters its block into p buckets at random.
-    let scattered: Vec<Vec<Vec<u32>>> = (0..p)
-        .into_par_iter()
-        .map(|t| {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64).wrapping_mul(t as u64 + 1));
-            let mut buckets: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-            for v in block_range(n, p, t) {
-                buckets[rng.gen_range(0..p)].push(v as u32);
-            }
-            buckets
-        })
-        .collect();
+    let scattered: Vec<Vec<Vec<u32>>> = pool::map_collect(p, 1, |t| {
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64).wrapping_mul(t as u64 + 1));
+        let mut buckets: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+        for v in block_range(n, p, t) {
+            buckets[rng.gen_range(0..p)].push(v as u32);
+        }
+        buckets
+    });
     // Phase 2: concatenate bucket b across workers, shuffle locally.
-    let shuffled: Vec<Vec<u32>> = (0..p)
-        .into_par_iter()
-        .map(|b| {
-            let mut bucket: Vec<u32> = Vec::new();
-            for worker in &scattered {
-                bucket.extend_from_slice(&worker[b]);
-            }
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03u64.wrapping_mul(b as u64 + 1));
-            bucket.shuffle(&mut rng);
-            bucket
-        })
-        .collect();
+    let shuffled: Vec<Vec<u32>> = pool::map_collect(p, 1, |b| {
+        let mut bucket: Vec<u32> = Vec::new();
+        for worker in &scattered {
+            bucket.extend_from_slice(&worker[b]);
+        }
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03u64.wrapping_mul(b as u64 + 1));
+        bucket.shuffle(&mut rng);
+        bucket
+    });
     let mut out = Vec::with_capacity(n);
     for bucket in shuffled {
         out.extend_from_slice(&bucket);

@@ -6,7 +6,7 @@
 //! scan over the block counts sizes the output, and a second pass copies
 //! each block's survivors out in order.
 
-use rayon::prelude::*;
+use crate::pool;
 
 /// Minimum input length before the parallel kernels fall back to the
 /// sequential code path; below this the fork/join overhead dominates.
@@ -40,26 +40,24 @@ pub fn par_filter<T: Copy + Send + Sync>(data: &[T], keep: &[bool], chunks: usiz
             .collect();
     }
     let chunk = n.div_ceil(chunks);
-    let mut counts: Vec<usize> = keep
-        .par_chunks(chunk)
-        .map(|block| block.iter().filter(|&&k| k).count())
-        .collect();
+    let blocks = n.div_ceil(chunk);
+    let block = |c: usize| c * chunk..((c + 1) * chunk).min(n);
+    let mut counts: Vec<usize> =
+        pool::map_collect(blocks, 1, |c| keep[block(c)].iter().filter(|&&k| k).count());
     let total = exclusive_scan(&mut counts);
     let mut out: Vec<T> = Vec::with_capacity(total);
     // Each block writes into a disjoint region; build per-block vectors and
     // splice. (A scatter into a shared uninitialized buffer would need
     // unsafe, which this crate forbids; the extra copy is one pass.)
-    let parts: Vec<Vec<T>> = data
-        .par_chunks(chunk)
-        .zip(keep.par_chunks(chunk))
-        .map(|(d, k)| {
-            d.iter()
-                .zip(k)
-                .filter(|&(_, &keep)| keep)
-                .map(|(&x, _)| x)
-                .collect()
-        })
-        .collect();
+    let parts: Vec<Vec<T>> = pool::map_collect(blocks, 1, |c| {
+        let r = block(c);
+        data[r.clone()]
+            .iter()
+            .zip(&keep[r])
+            .filter(|&(_, &keep)| keep)
+            .map(|(&x, _)| x)
+            .collect()
+    });
     for part in parts {
         out.extend_from_slice(&part);
     }

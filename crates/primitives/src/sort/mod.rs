@@ -7,12 +7,10 @@
 
 mod insertion;
 mod merge;
-mod radix;
 mod sample;
 
 pub use insertion::insertion_sort_by;
 pub use merge::merge_sort_by;
-pub use radix::radix_sort_by_key;
 pub use sample::{sample_sort_by_key, SampleSortConfig};
 
 /// List length at or below which [`two_level_sort_by`] prefers insertion

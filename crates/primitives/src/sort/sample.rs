@@ -11,16 +11,14 @@
 //! sorted independently in parallel (with this crate's bottom-up merge sort)
 //! and the buckets are concatenated.
 
-use rayon::prelude::*;
-
 use super::merge_sort_by;
-use crate::block_range;
+use crate::{block_range, pool};
 
 /// Tuning knobs for [`sample_sort_by_key`].
 #[derive(Debug, Clone, Copy)]
 pub struct SampleSortConfig {
     /// Number of buckets (and of parallel block scans). Defaults to the
-    /// current rayon thread-pool width.
+    /// pool width.
     pub buckets: usize,
     /// Sample-per-bucket oversampling ratio; larger samples give more even
     /// buckets at the cost of a longer (sequential) splitter-selection step.
@@ -32,7 +30,7 @@ pub struct SampleSortConfig {
 impl Default for SampleSortConfig {
     fn default() -> Self {
         SampleSortConfig {
-            buckets: rayon::current_num_threads().max(1),
+            buckets: pool::width(),
             oversample: 32,
             seq_threshold: 1 << 13,
         }
@@ -72,35 +70,29 @@ where
     // Phase 2: each block partitions its elements into per-bucket vectors.
     // `partition_point` on the sorted splitters gives the bucket index; ties
     // go to the right bucket boundary consistently, preserving stability.
-    let parts: Vec<Vec<Vec<T>>> = (0..buckets)
-        .into_par_iter()
-        .map(|t| {
-            let r = block_range(n, buckets, t);
-            let mut local: Vec<Vec<T>> = (0..buckets)
-                .map(|_| Vec::with_capacity(r.len() / buckets + 1))
-                .collect();
-            for item in &data[r] {
-                let k = key(item);
-                let b = splitters.partition_point(|s| *s <= k);
-                local[b].push(*item);
-            }
-            local
-        })
-        .collect();
+    let parts: Vec<Vec<Vec<T>>> = pool::map_collect(buckets, 1, |t| {
+        let r = block_range(n, buckets, t);
+        let mut local: Vec<Vec<T>> = (0..buckets)
+            .map(|_| Vec::with_capacity(r.len() / buckets + 1))
+            .collect();
+        for item in &data[r] {
+            let k = key(item);
+            let b = splitters.partition_point(|s| *s <= k);
+            local[b].push(*item);
+        }
+        local
+    });
     drop(data);
 
     // Phase 3: gather each bucket (block order preserves stability) and sort.
-    let sorted_buckets: Vec<Vec<T>> = (0..buckets)
-        .into_par_iter()
-        .map(|b| {
-            let mut bucket: Vec<T> = Vec::with_capacity(parts.iter().map(|p| p[b].len()).sum());
-            for part in &parts {
-                bucket.extend_from_slice(&part[b]);
-            }
-            merge_sort_by(&mut bucket, |a, b| key(a) < key(b));
-            bucket
-        })
-        .collect();
+    let sorted_buckets: Vec<Vec<T>> = pool::map_collect(buckets, 1, |b| {
+        let mut bucket: Vec<T> = Vec::with_capacity(parts.iter().map(|p| p[b].len()).sum());
+        for part in &parts {
+            bucket.extend_from_slice(&part[b]);
+        }
+        merge_sort_by(&mut bucket, |a, b| key(a) < key(b));
+        bucket
+    });
 
     let mut out = Vec::with_capacity(n);
     for bucket in sorted_buckets {

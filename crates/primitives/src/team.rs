@@ -26,8 +26,8 @@
 //! are never chosen over the real panic). Partial per-rank results are
 //! dropped.
 //!
-//! Data-parallel primitives (sorts, scans) use the rayon facade internally;
-//! the SPMD team is reserved for the algorithm skeletons whose structure
+//! Data-parallel primitives (sorts, scans) use the pool's `map_collect` and
+//! `map_mut` loops internally; the SPMD team is reserved for the algorithm skeletons whose structure
 //! genuinely is "p coordinated sequential programs", like MST-BC's
 //! concurrent Prim growth.
 

@@ -105,7 +105,7 @@ impl Default for ServerConfig {
         ServerConfig {
             listen: Listen::Tcp("127.0.0.1:0".into()),
             default_algorithm: Algorithm::BorFal,
-            default_threads: rayon::current_num_threads().max(1),
+            default_threads: msf_pool::width(),
             registry_bytes: u64::MAX,
             admission: AdmissionConfig::default(),
             paranoid: false,

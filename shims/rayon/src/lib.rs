@@ -1,200 +1,6 @@
-//! Offline stand-in for the subset of `rayon` this workspace uses, now
-//! backed by a real persistent work-stealing pool (`msf_pool`).
-//!
-//! The build environment cannot reach a crates.io registry, so the
-//! workspace replaces the registry `rayon` with this path crate. Call sites
-//! keep rayon's spelling (`into_par_iter`, `par_iter`, `par_chunks`,
-//! `with_min_len`, `rayon::current_num_threads`, `rayon::join`, …) and now
-//! get genuine parallelism: terminals recursively halve their input and
-//! hand the halves to `msf_pool::join`, which schedules them on persistent
-//! workers with chase-lev-style stealing deques.
-//!
-//! Results are identical to the old sequential facade by construction —
-//! `collect` writes each element at its exact final index, `sum` reduces
-//! over a fixed split tree, and every `for_each` call site in the workspace
-//! is order-independent. Setting `MSF_SEQUENTIAL=1` (or the `sequential`
-//! feature of `msf-pool`, or `msf_pool::with_sequential`) restores the
-//! exact single-threaded execution order without touching any call site;
-//! `MSF_POOL_THREADS` pins the pool width.
-
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_docs)]
-
-pub mod iter;
-
-/// Width of the shared pool (respects `MSF_POOL_THREADS`, else the host's
-/// available parallelism). Matches what `join`/`par_iter` actually use.
-pub fn current_num_threads() -> usize {
-    msf_pool::width()
-}
-
-/// Run both closures, potentially in parallel, and return both results.
-/// `a` runs on the calling thread while `b` is offered to the pool; under
-/// `MSF_SEQUENTIAL=1` this is exactly `(a(), b())`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    msf_pool::join(a, b)
-}
-
-/// The glob-import surface mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use super::iter::{
-        FromParallelIterator, IndexedParallelIterator, IntoParallelIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Pin a multi-worker pool before first use so these tests exercise
-    /// real parallel drives even on a 1-core host.
-    fn pool() {
-        msf_pool::force_width(4);
-    }
-
-    #[test]
-    fn par_chains_behave_like_std() {
-        pool();
-        let v: Vec<u32> = (0..10u32).into_par_iter().map(|x| x * 2).collect();
-        assert_eq!(v, (0..10u32).map(|x| x * 2).collect::<Vec<_>>());
-
-        let data = [1u32, 2, 3, 4, 5];
-        let sums: Vec<u32> = data.par_chunks(2).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, vec![3, 7, 5]);
-
-        let mut out = vec![0u32; 4];
-        out.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, x)| *x = i as u32);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn tuning_knobs_are_respected() {
-        pool();
-        let n = 100usize;
-        let v: Vec<usize> = (0..n)
-            .into_par_iter()
-            .with_min_len(8)
-            .with_max_len(32)
-            .collect();
-        assert_eq!(v, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn thread_count_is_positive() {
-        assert!(super::current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        pool();
-        assert_eq!(super::join(|| 1, || "x"), (1, "x"));
-    }
-
-    #[test]
-    fn large_collect_is_exact_and_ordered() {
-        pool();
-        let n = 100_000usize;
-        let v: Vec<u64> = (0..n).into_par_iter().map(|i| (i as u64) * 3 + 1).collect();
-        assert_eq!(v.len(), n);
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, (i as u64) * 3 + 1);
-        }
-    }
-
-    #[test]
-    fn for_each_visits_every_item_once() {
-        pool();
-        let n = 50_000usize;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        (0..n).into_par_iter().for_each(|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        pool();
-        let n = 200_000usize;
-        let par: u64 = (0..n).into_par_iter().map(|i| i as u64).sum();
-        assert_eq!(par, (n as u64 - 1) * (n as u64) / 2);
-    }
-
-    #[test]
-    fn zip_chunks_roundtrip() {
-        pool();
-        let n = 10_000usize;
-        let data: Vec<u64> = (0..n as u64).collect();
-        let chunk = 97;
-        let totals: Vec<u64> = data.par_chunks(chunk).map(|c| c.iter().sum()).collect();
-        let mut out = vec![0u64; n];
-        out.par_chunks_mut(chunk)
-            .zip(totals.par_iter())
-            .for_each(|(block, &t)| {
-                for x in block.iter_mut() {
-                    *x = t;
-                }
-            });
-        let expect: Vec<u64> = data
-            .chunks(chunk)
-            .flat_map(|c| {
-                let t: u64 = c.iter().sum();
-                std::iter::repeat_n(t, c.len())
-            })
-            .collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn owned_vec_par_iter_consumes_without_leaking_drops() {
-        pool();
-        static LIVE: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Debug)]
-        struct Tracked(u32);
-        impl Tracked {
-            fn new(v: u32) -> Tracked {
-                LIVE.fetch_add(1, Ordering::SeqCst);
-                Tracked(v)
-            }
-        }
-        impl Clone for Tracked {
-            fn clone(&self) -> Tracked {
-                Tracked::new(self.0)
-            }
-        }
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                LIVE.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        let vec: Vec<Tracked> = (0..10_000).map(Tracked::new).collect();
-        let doubled: Vec<u32> = vec.into_par_iter().map(|t| t.0 * 2).collect();
-        assert_eq!(doubled.len(), 10_000);
-        assert_eq!(doubled[1234], 2468);
-        assert_eq!(LIVE.load(Ordering::SeqCst), 0, "all elements dropped");
-    }
-
-    #[test]
-    fn sequential_escape_hatch_matches_pooled_results() {
-        pool();
-        let n = 30_000usize;
-        let pooled: Vec<u64> = (0..n).into_par_iter().map(|i| (i as u64).pow(2)).collect();
-        let seq = msf_pool::with_sequential(|| {
-            (0..n)
-                .into_par_iter()
-                .map(|i| (i as u64).pow(2))
-                .collect::<Vec<u64>>()
-        });
-        assert_eq!(pooled, seq);
-    }
-}
+//! Empty on purpose. This package used to be the workspace's stand-in for
+//! `rayon`; every kernel now calls `msf_pool::{join, map_collect, map_mut}`
+//! directly. The package stays, with its `msf-pool` dependency and the
+//! crates' `rayon.workspace = true` lines, only so that
+//! `benchmark/Cargo.lock` stays byte-identical. It goes together with the
+//! next change to the benchmark, which re-locks that file.

@@ -16,6 +16,7 @@
 
 use std::sync::Mutex;
 
+use msf_bench::json::Json;
 use msf_core::stats::event_ns;
 use msf_core::{minimum_spanning_forest, Algorithm, MsfConfig};
 use msf_graph::generators::{mesh2d, GeneratorConfig};
@@ -126,7 +127,7 @@ fn chrome_export_is_valid_json_with_named_spans() {
     let g = mesh();
     let (trace, _) = traced_run(&g, Algorithm::BorAl, 2);
     let json = trace.chrome_json();
-    obs::validate_json(&json).expect("chrome trace must be valid JSON");
+    Json::parse(&json).expect("chrome trace must be valid JSON");
     for name in ["find-min", "connect-components", "compact-graph", "run"] {
         assert!(json.contains(&format!("\"name\":\"{name}\"")), "{name}");
     }
