@@ -175,20 +175,15 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
                 let e = &cur_edges[i as usize];
                 packed_edge_key(e.w, e.id)
             };
-            msf_primitives::fused::filter_relabel_compact(
-                cur_edges,
-                p,
-                Edge::new(0, 0, 0.0, 0),
-                |i, e| {
-                    let (lu, lv) = (labels[e.u as usize], labels[e.v as usize]);
-                    if lu == lv {
-                        return None;
-                    }
-                    slots_next.write_min_by(lu as usize, i as u64, key);
-                    slots_next.write_min_by(lv as usize, i as u64, key);
-                    Some(Edge::new(lu, lv, e.w, e.id))
-                },
-            )
+            msf_primitives::fused::filter_relabel_compact(cur_edges, p, |i, e| {
+                let (lu, lv) = (labels[e.u as usize], labels[e.v as usize]);
+                if lu == lv {
+                    return None;
+                }
+                slots_next.write_min_by(lu as usize, i as u64, key);
+                slots_next.write_min_by(lv as usize, i as u64, key);
+                Some(Edge::new(lu, lv, e.w, e.id))
+            })
         };
         msf_primitives::fused::record_traffic(8 * m_cur as u64);
         it.compact = step.finish(&cg_meters, PHASE_OVERHEAD);

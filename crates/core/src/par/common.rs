@@ -84,11 +84,10 @@ pub(crate) fn relabel_and_filter(
     for (t, m) in meters.iter_mut().enumerate().take(p) {
         m.mem(2 * msf_primitives::block_range(edges.len(), p, t).len() as u64);
     }
-    let out =
-        msf_primitives::fused::filter_relabel_compact(edges, p, Edge::new(0, 0, 0.0, 0), |_, e| {
-            let (lu, lv) = (labels[e.u as usize], labels[e.v as usize]);
-            (lu != lv).then(|| Edge::new(lu, lv, e.w, e.id))
-        });
+    let out = msf_primitives::fused::filter_relabel_compact(edges, p, |_, e| {
+        let (lu, lv) = (labels[e.u as usize], labels[e.v as usize]);
+        (lu != lv).then(|| Edge::new(lu, lv, e.w, e.id))
+    });
     // The kernel records the edge sweep; the two u32 label-table reads per
     // edge are side-band traffic it cannot see.
     msf_primitives::fused::record_traffic(8 * edges.len() as u64);

@@ -104,7 +104,7 @@ pub fn msf_with_inner(g: &EdgeList, cfg: &MsfConfig, inner: crate::Algorithm) ->
             .is_some_and(|path_max| e.key() > path_max);
         (!heavy).then_some(id as u32)
     };
-    let kept_ids = msf_primitives::fused::filter_compact_indexed(m, p, 0u32, survives);
+    let kept_ids = msf_primitives::fused::filter_compact_indexed(m, p, survives);
     // One sweep over the edge array plus the survivor id write-back; the
     // path-max reads are side-band traffic the kernel cannot see.
     msf_primitives::fused::record_traffic((24 * m + 4 * kept_ids.len()) as u64);

@@ -212,9 +212,7 @@ fn recurse(
     for (t, meter) in meters.iter_mut().enumerate() {
         meter.mem(2 * log_n * msf_primitives::block_range(hm, p, t).len() as u64);
     }
-    let kept = filter_relabel_compact(&heavy, p, Edge::new(0, 0, 0.0, 0), |_, e| {
-        (!uf.same_set(e.u, e.v)).then_some(*e)
-    });
+    let kept = filter_relabel_compact(&heavy, p, |_, e| (!uf.same_set(e.u, e.v)).then_some(*e));
     // The union-find parent reads are side-band traffic the kernel cannot
     // see; the sweep itself is already recorded.
     record_traffic(8 * hm as u64);

@@ -8,10 +8,11 @@
 //!
 //! - **Stealing workers** ([`registry`]): run fork-join jobs from per-worker
 //!   chase-lev-style deques (packed-CAS cursors, the `steal.rs` idiom) plus
-//!   an injector for external submissions. These power [`join`] and the two
-//!   data-parallel loops built on it, [`map_collect`] (the `p`-block
-//!   par-for and the par map-collect over an index domain) and [`map_mut`]
-//!   (one task per per-block state).
+//!   an injector for external submissions. These power [`join`] and the
+//!   data-parallel loops built on it: [`map_collect`] (the `p`-block
+//!   par-for and the par map-collect over an index domain), [`map_mut`]
+//!   (one task per per-block state) and [`fill_regions`] (vectors built
+//!   from per-block regions of known length, each block writing its own).
 //! - **Team threads** ([`team`]): dedicated threads leased per
 //!   `SmpTeam::run` to host barrier-synchronized SPMD ranks, which must not
 //!   share stealing workers (blocking a worker on a barrier under the deque
@@ -45,7 +46,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 pub use barrier::{BarrierPoisoned, SenseBarrier};
-pub use loops::{map_collect, map_mut};
+pub use loops::{fill_regions, map_collect, map_mut, Sink};
 pub use team::{run_team, run_team_collect};
 pub use telemetry::{publish_metrics, PoolStats, PoolWorkerStats};
 
@@ -112,28 +113,35 @@ pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
 
 static WIDTH: OnceLock<usize> = OnceLock::new();
 
+/// The width `MSF_POOL_THREADS` pins, if it is set to a number (clamped to
+/// 1..=1024).
+fn env_width() -> Option<usize> {
+    let v = std::env::var("MSF_POOL_THREADS").ok()?;
+    v.trim().parse::<usize>().ok().map(|n| n.clamp(1, 1024))
+}
+
 /// The pool width: `MSF_POOL_THREADS` if set (clamped to 1..=1024), else
 /// the host's available parallelism. Frozen at first call.
 pub fn width() -> usize {
     *WIDTH.get_or_init(|| {
-        if let Ok(v) = std::env::var("MSF_POOL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, 1024);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        env_width().unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     })
 }
 
-/// Pin the pool width before the pool's first use, for tests that need a
-/// specific width regardless of the host (e.g. forcing real concurrency on
-/// a 1-core CI runner). No-op if the width is already frozen; returns the
-/// effective width.
+/// Pin the pool width before the pool's first use, for tests that need
+/// real concurrency regardless of the host (e.g. on a 1-core CI runner).
+/// `MSF_POOL_THREADS` wins when it is set, so a CI job can run the same
+/// tests at another width. No-op if the width is already frozen; returns
+/// the effective width, which callers assert against.
 #[doc(hidden)]
 pub fn force_width(n: usize) -> usize {
-    let _ = WIDTH.set(n.clamp(1, 1024));
+    if env_width().is_none() {
+        let _ = WIDTH.set(n.clamp(1, 1024));
+    }
     width()
 }
 

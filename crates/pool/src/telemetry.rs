@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn pool_work_moves_the_counters() {
-        crate::force_width(4);
+        let width = crate::force_width(4);
         let before = crate::pool_stats();
         // A team run leases p-1 = 3 threads, deterministically.
         crate::run_team(4, &|_rank| {});
@@ -317,8 +317,8 @@ mod tests {
         let (a, b) = crate::join(|| 1u32, || 2u32);
         assert_eq!((a, b), (1, 2));
         let after = crate::pool_stats();
-        assert_eq!(after.width, 4);
-        assert_eq!(after.workers.len(), 4);
+        assert_eq!(after.width, width);
+        assert_eq!(after.workers.len(), width);
         assert!(after.team_leases >= before.team_leases + 3);
         // At least one dedicated thread must ever have been created; exactly
         // how many is a race (a fast rank can re-idle its thread between

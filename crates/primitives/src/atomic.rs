@@ -15,17 +15,25 @@
 //!   edge id ([`packed_edge_key`]) it reproduces the suite's exact
 //!   `(weight, edge id)` total order, ties and all — the invariant the
 //!   unique-forest determinism contract rests on.
-//! * [`MinSlots`] — an array of `AtomicU64` cells with `write_min`
+//! * [`MinSlots`] — an array of atomic minimum cells with `write_min`
 //!   (natural `u64` order) and `write_min_by` (caller-supplied packed key).
-//!   Under `MSF_SEQUENTIAL` (or inside `msf_pool::with_sequential`) the CAS
-//!   loop is replaced by a plain load/compare/store, so the sequential
-//!   escape hatch takes the exact branch-free path and records **zero** CAS
-//!   retries.
+//!   A shared slot pairs the value with a **filter**: the smallest key
+//!   prefix (`key >> 32`, the weight bits of a packed edge key) any writer
+//!   has announced. A writer whose prefix is above the filter returns after
+//!   one load, without reading the incumbent's key (for edge races, a
+//!   random read of a 24-byte edge) and without a CAS; a writer that lowers
+//!   or ties the filter runs the exact `(weight, id)` CAS race on the value.
+//!   The writer that set the filter always enters that race and beats
+//!   every writer the filter turned away, so the result stays exact.
+//!   [`MinSlots::new_single_writer`] is the plain load/compare/store store
+//!   for races that provably run on one thread; [`MinSlots::new`] is
+//!   always the shared store, because `SmpTeam` ranks are real threads even
+//!   under the sequential escape hatch.
 //!
-//! Contention is observable: every failed `compare_exchange` increments the
-//! `atomic.write_min.cas_retry` registry counter (a [`LazyCounter`], free
-//! when metrics are off), surfaced by `msf bench --json` and the metrics
-//! snapshot.
+//! Contention is observable: every failed `compare_exchange`, on the filter
+//! or on the value, increments the `atomic.write_min.cas_retry` registry
+//! counter (a [`LazyCounter`], free when metrics are off), surfaced by
+//! `msf bench --json` and the metrics snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,7 +81,35 @@ pub fn packed_edge_key(w: f64, id: u32) -> u128 {
     (u128::from(weight_order_bits(w)) << 32) | u128::from(id)
 }
 
-/// Slot storage. The shared form is the lock-free CAS race. The
+/// One shared slot: the filter and the value, on one 16-byte line so a
+/// writer's filter load brings the value's cache line with it.
+#[repr(C, align(16))]
+struct SharedSlot {
+    /// The smallest key prefix announced so far ([`key_prefix`]);
+    /// `u64::MAX` when vacant. Only ever lowered.
+    filter: AtomicU64,
+    value: AtomicU64,
+}
+
+impl SharedSlot {
+    fn vacant() -> SharedSlot {
+        SharedSlot {
+            filter: AtomicU64::new(u64::MAX),
+            value: AtomicU64::new(EMPTY),
+        }
+    }
+}
+
+/// The filter's view of a key: its bits above the low 32, saturated to
+/// `u64`. For a [`packed_edge_key`] that is exactly the weight's order bits.
+/// Saturation keeps the map monotone — a larger prefix always means a
+/// larger key — which is all the filter relies on.
+#[inline]
+fn key_prefix(key: u128) -> u64 {
+    u64::try_from(key >> 32).unwrap_or(u64::MAX)
+}
+
+/// Slot storage. The shared form is the filtered lock-free CAS race. The
 /// single-writer form interleaves each slot's value with a cache of its
 /// current minimum key `(value, key hi, key lo)` — one cache line per
 /// slot — so an improving write never has to re-derive the incumbent's
@@ -82,27 +118,22 @@ pub fn packed_edge_key(w: f64, id: u32) -> u128 {
 /// `#![forbid(unsafe_code)]`; every access is a plain Relaxed load/store
 /// and the one-writer contract makes them race-free.
 enum Store {
-    Shared(Vec<AtomicU64>),
+    Shared(Vec<SharedSlot>),
     Single(Vec<(AtomicU64, AtomicU64, AtomicU64)>),
 }
 
 /// An array of atomic minimum cells. See the module docs for the race
-/// semantics and the sequential fallback.
+/// semantics and the single-writer store.
 pub struct MinSlots {
     store: Store,
 }
 
 impl MinSlots {
-    /// `n` slots, all [`EMPTY`]. Captures the calling context's sequential
-    /// mode (`MSF_SEQUENTIAL` / `with_sequential`) for the lifetime of the
-    /// array, so a sequential run never touches the CAS path.
+    /// `n` slots, all [`EMPTY`], in the shared store: safe for writers on
+    /// any number of threads, whatever the pool mode.
     pub fn new(n: usize) -> MinSlots {
-        if crate::pool::sequential_here() {
-            MinSlots::new_single_writer(n)
-        } else {
-            MinSlots {
-                store: Store::Shared((0..n).map(|_| AtomicU64::new(EMPTY)).collect()),
-            }
+        MinSlots {
+            store: Store::Shared((0..n).map(|_| SharedSlot::vacant()).collect()),
         }
     }
 
@@ -112,9 +143,10 @@ impl MinSlots {
     ///
     /// **Caller contract:** every `write_min`/`write_min_by` on this array
     /// happens on one thread. Algorithms whose races run in the pool's
-    /// loops (`map_collect`, `map_mut`) satisfy it when the pool has a
-    /// single worker (everything runs inline); `SmpTeam` ranks are real
-    /// threads at any pool width and must use [`new`].
+    /// loops (`map_collect`, `map_mut`) satisfy it when the pool runs
+    /// everything inline (`msf_pool::runs_inline`); `SmpTeam` ranks are
+    /// real threads at any pool width, and under the sequential escape
+    /// hatch too, and must use [`new`](MinSlots::new).
     pub fn new_single_writer(n: usize) -> MinSlots {
         MinSlots {
             store: Store::Single(
@@ -149,7 +181,7 @@ impl MinSlots {
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         match &self.store {
-            Store::Shared(s) => s[i].load(Ordering::Acquire),
+            Store::Shared(s) => s[i].value.load(Ordering::Acquire),
             Store::Single(s) => s[i].0.load(Ordering::Relaxed),
         }
     }
@@ -158,11 +190,7 @@ impl MinSlots {
     /// `&mut self`: resetting is a phase boundary, not part of any race.
     pub fn reset(&mut self) {
         match &mut self.store {
-            Store::Shared(s) => {
-                for v in s.iter_mut() {
-                    *v.get_mut() = EMPTY;
-                }
-            }
+            Store::Shared(s) => s.fill_with(SharedSlot::vacant),
             Store::Single(s) => {
                 for (v, _, _) in s.iter_mut() {
                     *v.get_mut() = EMPTY;
@@ -205,12 +233,44 @@ impl MinSlots {
             }
             Store::Shared(s) => {
                 let slot = &s[i];
-                let mut cur = slot.load(Ordering::Relaxed);
+                // The filter publishes no data of its own — the value race
+                // below carries the result, and readers see it only after
+                // the writing phase has joined — so Relaxed suffices.
+                let prefix = key_prefix(kv);
+                let mut filter = slot.filter.load(Ordering::Relaxed);
+                loop {
+                    if prefix > filter {
+                        // Whoever set the filter holds a smaller key and
+                        // runs the race below: this write cannot win.
+                        return false;
+                    }
+                    if prefix == filter {
+                        break;
+                    }
+                    match slot.filter.compare_exchange_weak(
+                        filter,
+                        prefix,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => break,
+                        Err(actual) => {
+                            WRITE_MIN_CAS_RETRY.inc();
+                            filter = actual;
+                        }
+                    }
+                }
+                let mut cur = slot.value.load(Ordering::Relaxed);
                 loop {
                     if cur != EMPTY && kv >= key(cur) {
                         return false;
                     }
-                    match slot.compare_exchange_weak(cur, v, Ordering::AcqRel, Ordering::Acquire) {
+                    match slot.value.compare_exchange_weak(
+                        cur,
+                        v,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
                         Ok(_) => return true,
                         Err(actual) => {
                             // Lost the race to a concurrent writer: re-read
@@ -228,7 +288,7 @@ impl MinSlots {
     /// Consume the array and return the plain slot values.
     pub fn into_values(self) -> Vec<u64> {
         match self.store {
-            Store::Shared(s) => s.into_iter().map(AtomicU64::into_inner).collect(),
+            Store::Shared(s) => s.into_iter().map(|slot| slot.value.into_inner()).collect(),
             Store::Single(s) => s.into_iter().map(|(v, _, _)| v.into_inner()).collect(),
         }
     }
@@ -340,40 +400,87 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mode_takes_the_plain_path() {
+    fn sequential_mode_keeps_the_shared_store() {
+        // The escape hatch runs `SmpTeam` ranks as scoped threads, so `new`
+        // must stay safe for many writers there: only `new_single_writer`
+        // (reached through a caller that knows every write runs inline)
+        // takes the plain path.
         crate::pool::with_sequential(|| {
             let slots = MinSlots::new(1);
-            assert!(slots.is_single_writer());
+            assert!(!slots.is_single_writer());
             assert!(slots.write_min(0, 5));
             assert!(!slots.write_min(0, 6));
             assert_eq!(slots.get(0), 5);
+            assert!(MinSlots::new_single_writer(1).is_single_writer());
         });
+    }
+
+    /// Edge `v` of a table with small-integer weights: many edges share a
+    /// weight, so packed keys share their prefix (`key >> 32`).
+    fn small_weight_key(v: u64) -> u128 {
+        packed_edge_key((v * 2654435761 % 7) as f64, v as u32)
+    }
+
+    #[test]
+    fn the_filter_turns_away_heavier_writers_and_races_ties() {
+        let slots = MinSlots::new(1);
+        let reads = std::cell::Cell::new(0);
+        let key = |v: u64| {
+            reads.set(reads.get() + 1);
+            u128::from(v % 100) << 32 | u128::from(v)
+        };
+        // Weight 3 (value 103) claims the vacant slot.
+        assert!(slots.write_min_by(0, 103, key));
+        // Weight 5 is above the filter: refused after its own key alone,
+        // without reading the incumbent's.
+        reads.set(0);
+        assert!(!slots.write_min_by(0, 105, key));
+        assert_eq!(
+            reads.get(),
+            1,
+            "a filtered write must not read the incumbent"
+        );
+        // Weight 3 again ties the filter and races on the id: 203 loses to
+        // 103, and 3 (weight 3, smaller id) wins.
+        assert!(!slots.write_min_by(0, 203, key));
+        assert!(slots.write_min_by(0, 3, key));
+        // Weight 1 lowers the filter, then wins the race.
+        assert!(slots.write_min_by(0, 401, key));
+        assert_eq!(slots.get(0), 401);
+        assert!(!slots.write_min_by(0, 2, key));
+        assert_eq!(slots.into_values(), vec![401]);
     }
 
     #[test]
     fn single_writer_mode_matches_the_shared_race() {
         // Same pseudo-random workload through both stores; the quiescent
         // minima (and the change/no-change return values) must coincide.
+        // Keys below 2^32 leave every prefix at 0, so the filter admits
+        // every writer; packed keys over small-integer weights make it
+        // turn writers away and tie them.
         let table: Vec<u128> = (0..512u64)
             .map(|v| u128::from(v * 2654435761 % 977))
             .collect();
-        let shared = MinSlots::new(64);
-        let single = MinSlots::new_single_writer(64);
-        assert!(single.is_single_writer());
-        let mut x = 0x9E3779B97F4A7C15u64;
-        for _ in 0..4_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let (slot, v) = ((x >> 32) as usize % 64, x % 512);
-            let a = shared.write_min_by(slot, v, |v| table[v as usize]);
-            let b = single.write_min_by(slot, v, |v| table[v as usize]);
+        let keys: [&dyn Fn(u64) -> u128; 2] = [&|v| table[v as usize], &small_weight_key];
+        for key in keys {
+            let shared = MinSlots::new(64);
+            let single = MinSlots::new_single_writer(64);
+            assert!(single.is_single_writer());
+            let mut x = 0x9E3779B97F4A7C15u64;
+            for _ in 0..4_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (slot, v) = ((x >> 32) as usize % 64, x % 512);
+                let a = shared.write_min_by(slot, v, key);
+                let b = single.write_min_by(slot, v, key);
+                assert_eq!(a, b);
+            }
+            for i in 0..64 {
+                assert_eq!(shared.get(i), single.get(i), "slot {i}");
+            }
+            let (a, b) = (shared.into_values(), single.into_values());
             assert_eq!(a, b);
         }
-        for i in 0..64 {
-            assert_eq!(shared.get(i), single.get(i), "slot {i}");
-        }
-        let (a, b) = (shared.into_values(), single.into_values());
-        assert_eq!(a, b);
     }
 }

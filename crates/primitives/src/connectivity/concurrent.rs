@@ -29,9 +29,11 @@
 //! vertex id, also schedule-independent.
 //!
 //! Contention is observable: every lost hook CAS increments the
-//! `unionfind.hook.cas_retry` registry counter. Under `MSF_SEQUENTIAL` (or
-//! `msf_pool::with_sequential`) the CAS is skipped entirely — plain
-//! load/compare/store, zero retries.
+//! `unionfind.hook.cas_retry` registry counter. There is one path for every
+//! mode: the sequential escape hatch still runs `SmpTeam` ranks as real
+//! (scoped) threads, so a plain store there could hook one root twice. A
+//! caller that unites on one thread never loses a CAS, so it records zero
+//! retries anyway.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -48,18 +50,14 @@ static HOOK_CAS_RETRY: LazyCounter = LazyCounter::new("unionfind.hook.cas_retry"
 pub struct ConcurrentUnionFind {
     parent: Vec<AtomicU32>,
     hooks: Vec<AtomicU32>,
-    sequential: bool,
 }
 
 impl ConcurrentUnionFind {
-    /// `n` singleton sets. Captures the calling context's sequential mode
-    /// (`MSF_SEQUENTIAL` / `with_sequential`), under which every operation
-    /// takes a plain non-CAS path.
+    /// `n` singleton sets.
     pub fn new(n: usize) -> ConcurrentUnionFind {
         ConcurrentUnionFind {
             parent: (0..n as u32).map(AtomicU32::new).collect(),
             hooks: (0..n).map(|_| AtomicU32::new(NO_HOOK)).collect(),
-            sequential: crate::pool::sequential_here(),
         }
     }
 
@@ -117,11 +115,6 @@ impl ConcurrentUnionFind {
             // Retire the smaller root under the larger, keeping parent
             // pointers monotone in vertex id.
             let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-            if self.sequential {
-                self.hooks[lo as usize].store(tag, Ordering::Relaxed);
-                self.parent[lo as usize].store(hi, Ordering::Relaxed);
-                return true;
-            }
             // gbbs nd.h: claim the root via CAS on its hooks slot; only
             // the winner may write the parent pointer. A root whose hooks
             // slot is vacant is guaranteed still to be a root.
@@ -239,14 +232,22 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mode_takes_the_plain_path() {
+    fn sequential_mode_races_safely_on_team_threads() {
+        // Under the escape hatch `SmpTeam` ranks are still real threads:
+        // every rank walks the same star, and each root must be hooked
+        // exactly once.
         crate::pool::with_sequential(|| {
-            let uf = ConcurrentUnionFind::new(3);
-            assert!(uf.sequential);
-            assert!(uf.unite(0, 2, 7));
-            assert!(uf.unite(1, 2, 8));
-            assert_eq!(uf.find(0), 2);
-            assert_eq!(uf.hooked(), vec![7, 8]);
+            let n = 2_000u32;
+            let uf = ConcurrentUnionFind::new(n as usize);
+            crate::team::SmpTeam::new(4).run(|_ctx| {
+                for v in 1..n {
+                    uf.unite(0, v, v - 1);
+                }
+            });
+            assert!((0..n).all(|v| uf.find(v) == n - 1));
+            let mut tags = uf.hooked();
+            tags.sort_unstable();
+            assert_eq!(tags, (0..n - 1).collect::<Vec<_>>());
         });
     }
 }

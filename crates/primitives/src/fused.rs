@@ -9,18 +9,19 @@
 //!
 //! * [`filter_relabel_compact`] — one read of each input item, a caller
 //!   `visit` closure that relabels/filters/side-effects (the fused
-//!   write-min race rides inside it), and a compacted output written with
-//!   the existing prefix/chunk machinery. Per-block staging plus parallel
-//!   placement keeps everything safe (`#![forbid(unsafe_code)]`): block
-//!   survivors land in per-block vectors, an exclusive scan of their
-//!   lengths fixes each block's output region, and the regions — obtained
-//!   by repeated `split_at_mut` — are filled concurrently.
+//!   write-min race rides inside it), and a compacted output. Each block
+//!   stages its survivors in a vector of its own; then every block copies
+//!   its run, in parallel, into its region of the uninitialised output
+//!   ([`pool::fill_regions`]).
 //! * [`partition_compact`] — the two-way variant behind filter-Kruskal's
-//!   light/heavy pivot split: one read, two compacted outputs.
+//!   light/heavy pivot split. Each block counts its light items, then
+//!   writes every item straight into its region of the light or heavy
+//!   output: no staging and no serial splice.
 //!
 //! Every contraction call site uses these kernels; there is no multi-pass
 //! alternative. Survivors keep index order at every `p`, so a kernel's
-//! output is the same at every thread count.
+//! output is the same at every thread count. The placement's one `unsafe`
+//! block lives in `msf-pool`; this crate stays `#![forbid(unsafe_code)]`.
 //!
 //! Kernel traffic is observable: [`record_traffic`] feeds the
 //! `kernel.fused_bytes_read` registry counter (a [`LazyCounter`], free when
@@ -28,26 +29,11 @@
 //! EXPERIMENTS.md's bandwidth accounting reads against analytic
 //! bytes-per-edge estimates.
 
-use std::sync::OnceLock;
-
 use crate::obs::metrics::LazyCounter;
 use crate::pool;
-use crate::prefix::{exclusive_scan, PAR_THRESHOLD};
+use crate::prefix::PAR_THRESHOLD;
 
 static FUSED_BYTES_READ: LazyCounter = LazyCounter::new("kernel.fused_bytes_read");
-
-/// Whether the host has at least two hardware threads — the gate for
-/// placement strategies that trade extra writes for concurrency. Pool
-/// width deliberately does not enter: an oversubscribed pool on a 1-core
-/// host still executes one copy at a time.
-fn parallel_host() -> bool {
-    static HOST: OnceLock<bool> = OnceLock::new();
-    *HOST.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get() >= 2)
-            .unwrap_or(false)
-    })
-}
 
 /// Account `bytes` of fused-kernel read traffic to the
 /// `kernel.fused_bytes_read` counter. Call sites with side-band reads the
@@ -62,13 +48,9 @@ pub fn record_traffic(bytes: u64) {
 /// relabeling, and returns `Some(mapped)` for survivors (side effects —
 /// e.g. the next round's write-min race — ride along). Survivors are
 /// written to a compacted output preserving index order.
-///
-/// `fill` is a throwaway element used to initialize the output buffer
-/// (survivor placement is a safe overwrite, never an uninitialized write).
 pub fn filter_compact_indexed<U: Copy + Send + Sync>(
     len: usize,
     p: usize,
-    fill: U,
     visit: impl Fn(usize) -> Option<U> + Sync,
 ) -> Vec<U> {
     let p = p.max(1);
@@ -87,6 +69,8 @@ pub fn filter_compact_indexed<U: Copy + Send + Sync>(
         return out;
     }
     // Pass 1: each block reads its range once, staging survivors locally.
+    // `visit` runs once per index, so the staging cannot be replaced by a
+    // count pass: the closure may carry a race.
     let parts: Vec<Vec<U>> = pool::map_collect(p, 1, |t| {
         let r = crate::block_range(len, p, t);
         let mut out = Vec::with_capacity(r.len());
@@ -97,34 +81,10 @@ pub fn filter_compact_indexed<U: Copy + Send + Sync>(
         }
         out
     });
-    // Placement: exclusive scan of block lengths sizes the output exactly,
-    // then the p block runs are spliced in order. Concurrent placement
-    // writes the output twice (the `fill` initialization, then the copy
-    // into disjoint `split_at_mut` regions — the price of staying inside
-    // `#![forbid(unsafe_code)]`), so it only pays for itself when at least
-    // two hardware threads can actually run the copies; on a serial host
-    // the blocks are spliced once, in order.
-    let mut lens: Vec<usize> = parts.iter().map(Vec::len).collect();
-    let total = exclusive_scan(&mut lens);
-    if !parallel_host() {
-        let mut out = Vec::with_capacity(total);
-        for part in &parts {
-            out.extend_from_slice(part);
-        }
-        return out;
-    }
-    let mut out = vec![fill; total];
-    let mut copies: Vec<(Vec<U>, &mut [U])> = Vec::with_capacity(p);
-    let mut rest: &mut [U] = &mut out;
-    for part in parts {
-        let (head, tail) = rest.split_at_mut(part.len());
-        copies.push((part, head));
-        rest = tail;
-    }
-    // Each block's staging vector is freed by the task that copied it.
-    pool::map_mut(&mut copies, |_, (part, dst)| {
-        dst.copy_from_slice(&std::mem::take(part))
-    });
+    // Placement: every block copies its run into its region of the
+    // output, in parallel.
+    let lens: Vec<[usize; 1]> = parts.iter().map(|part| [part.len()]).collect();
+    let [out] = pool::fill_regions(&lens, |t, [region]| region.extend_from_slice(&parts[t]));
     out
 }
 
@@ -134,17 +94,20 @@ pub fn filter_compact_indexed<U: Copy + Send + Sync>(
 pub fn filter_relabel_compact<T: Sync, U: Copy + Send + Sync>(
     input: &[T],
     p: usize,
-    fill: U,
     visit: impl Fn(usize, &T) -> Option<U> + Sync,
 ) -> Vec<U> {
-    let out = filter_compact_indexed(input.len(), p, fill, |i| visit(i, &input[i]));
+    let out = filter_compact_indexed(input.len(), p, |i| visit(i, &input[i]));
     record_traffic((std::mem::size_of_val(input) + std::mem::size_of_val(out.as_slice())) as u64);
     out
 }
 
-/// Two-way fused partition: one read of each item, two compacted outputs
-/// (both preserving index order) — filter-Kruskal's light/heavy pivot
-/// split. `classify` returns `true` for the first (light) side.
+/// Two-way fused partition: two compacted outputs (both preserving index
+/// order) — filter-Kruskal's light/heavy pivot split. `classify` returns
+/// `true` for the first (light) side. It must give the same answer for an
+/// item every time: at `p ≥ 2` each block calls it once to count its light
+/// items and once to place them (an inconsistent answer panics as an
+/// under- or over-filled region). The recorded traffic is one read and one
+/// write per item at every `p`.
 pub fn partition_compact<T: Sync + Copy + Send>(
     input: &[T],
     p: usize,
@@ -152,6 +115,7 @@ pub fn partition_compact<T: Sync + Copy + Send>(
 ) -> (Vec<T>, Vec<T>) {
     let len = input.len();
     let p = p.max(1);
+    record_traffic(std::mem::size_of_val(input) as u64 * 2);
     if p == 1 || len < PAR_THRESHOLD || pool::runs_inline() {
         let mut light = Vec::with_capacity(len);
         let mut heavy = Vec::new();
@@ -162,41 +126,24 @@ pub fn partition_compact<T: Sync + Copy + Send>(
                 heavy.push(*t);
             }
         }
-        record_traffic(std::mem::size_of_val(input) as u64 * 2);
         return (light, heavy);
     }
-    let parts: Vec<(Vec<T>, Vec<T>)> = pool::map_collect(p, 1, |t| {
+    // Count pass: a block's light count sizes its regions of both outputs.
+    let lens: Vec<[usize; 2]> = pool::map_collect(p, 1, |t| {
         let r = crate::block_range(len, p, t);
-        let mut light = Vec::with_capacity(r.len());
-        let mut heavy = Vec::new();
-        for i in r {
+        let light = r.clone().filter(|&i| classify(i, &input[i])).count();
+        [light, r.len() - light]
+    });
+    // Placement pass: every item goes straight into its block's region.
+    let [light, heavy] = pool::fill_regions(&lens, |t, [light, heavy]| {
+        for i in crate::block_range(len, p, t) {
             if classify(i, &input[i]) {
                 light.push(input[i]);
             } else {
                 heavy.push(input[i]);
             }
         }
-        (light, heavy)
     });
-    fn pick<T>(pr: &(Vec<T>, Vec<T>), side: usize) -> &Vec<T> {
-        if side == 0 {
-            &pr.0
-        } else {
-            &pr.1
-        }
-    }
-    let place = |side: usize| -> Vec<T> {
-        let mut lens: Vec<usize> = parts.iter().map(|pr| pick(pr, side).len()).collect();
-        let total = exclusive_scan(&mut lens);
-        let mut out = Vec::with_capacity(total);
-        for pr in &parts {
-            out.extend_from_slice(pick(pr, side));
-        }
-        out
-    };
-    let light = place(0);
-    let heavy = place(1);
-    record_traffic(std::mem::size_of_val(input) as u64 * 2);
     (light, heavy)
 }
 
@@ -207,7 +154,7 @@ mod tests {
     #[test]
     fn compact_preserves_order_and_drops_losers() {
         let data: Vec<u32> = (0..100).collect();
-        let out = filter_relabel_compact(&data, 3, 0u32, |_, &x| (x % 3 == 0).then_some(x * 2));
+        let out = filter_relabel_compact(&data, 3, |_, &x| (x % 3 == 0).then_some(x * 2));
         let expect: Vec<u32> = (0..100).filter(|x| x % 3 == 0).map(|x| x * 2).collect();
         assert_eq!(out, expect);
     }
@@ -218,12 +165,11 @@ mod tests {
             .map(|x| x * 7 % 1013)
             .collect();
         let keep = |_: usize, &x: &u64| (x % 5 != 0).then_some(x + 1);
-        let seq = filter_relabel_compact(&data, 1, 0u64, keep);
+        let seq = filter_relabel_compact(&data, 1, keep);
         for p in [2, 3, 7, 8] {
-            assert_eq!(filter_relabel_compact(&data, p, 0u64, keep), seq, "p {p}");
+            assert_eq!(filter_relabel_compact(&data, p, keep), seq, "p {p}");
         }
-        let pooled_seq =
-            crate::pool::with_sequential(|| filter_relabel_compact(&data, 8, 0u64, keep));
+        let pooled_seq = crate::pool::with_sequential(|| filter_relabel_compact(&data, 8, keep));
         assert_eq!(pooled_seq, seq);
     }
 
@@ -232,7 +178,7 @@ mod tests {
         use std::sync::atomic::{AtomicU32, Ordering};
         let n = PAR_THRESHOLD + 17;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let out = filter_compact_indexed(n, 4, 0usize, |i| {
+        let out = filter_compact_indexed(n, 4, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             Some(i)
         });
@@ -265,8 +211,28 @@ mod tests {
     }
 
     #[test]
+    fn partition_handles_all_light_and_all_heavy_blocks() {
+        // Block 0 is all light and every other block all heavy, then the
+        // reverse, then one side empty.
+        let n = 3 * PAR_THRESHOLD + 5;
+        let data: Vec<u32> = (0..n as u32).collect();
+        for p in [2, 3, 7] {
+            let first = crate::block_range(n, p, 0);
+            let (head, tail) = data.split_at(first.end);
+            let (light, heavy) = partition_compact(&data, p, |i, _| first.contains(&i));
+            assert_eq!((light.as_slice(), heavy.as_slice()), (head, tail), "p {p}");
+            let (light, heavy) = partition_compact(&data, p, |i, _| !first.contains(&i));
+            assert_eq!((light.as_slice(), heavy.as_slice()), (tail, head), "p {p}");
+            let (all, none) = partition_compact(&data, p, |_, _| true);
+            assert_eq!((all.as_slice(), none.len()), (data.as_slice(), 0), "p {p}");
+            let (none, all) = partition_compact(&data, p, |_, _| false);
+            assert_eq!((none.len(), all.as_slice()), (0, data.as_slice()), "p {p}");
+        }
+    }
+
+    #[test]
     fn empty_and_tiny_inputs() {
-        let out = filter_relabel_compact(&[] as &[u8], 4, 0u8, |_, &x| Some(x));
+        let out = filter_relabel_compact(&[] as &[u8], 4, |_, &x| Some(x));
         assert!(out.is_empty());
         let (l, h) = partition_compact(&[1u8, 2, 3], 4, |_, &x| x < 3);
         assert_eq!((l, h), (vec![1, 2], vec![3]));

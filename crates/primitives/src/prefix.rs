@@ -42,26 +42,17 @@ pub fn par_filter<T: Copy + Send + Sync>(data: &[T], keep: &[bool], chunks: usiz
     let chunk = n.div_ceil(chunks);
     let blocks = n.div_ceil(chunk);
     let block = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let mut counts: Vec<usize> =
-        pool::map_collect(blocks, 1, |c| keep[block(c)].iter().filter(|&&k| k).count());
-    let total = exclusive_scan(&mut counts);
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    // Each block writes into a disjoint region; build per-block vectors and
-    // splice. (A scatter into a shared uninitialized buffer would need
-    // unsafe, which this crate forbids; the extra copy is one pass.)
-    let parts: Vec<Vec<T>> = pool::map_collect(blocks, 1, |c| {
-        let r = block(c);
-        data[r.clone()]
-            .iter()
-            .zip(&keep[r])
-            .filter(|&(_, &keep)| keep)
-            .map(|(&x, _)| x)
-            .collect()
+    let counts: Vec<[usize; 1]> = pool::map_collect(blocks, 1, |c| {
+        [keep[block(c)].iter().filter(|&&k| k).count()]
     });
-    for part in parts {
-        out.extend_from_slice(&part);
-    }
-    debug_assert_eq!(out.len(), total);
+    // Each block writes its survivors straight into its region of the
+    // output.
+    let [out] = pool::fill_regions(&counts, |c, [region]| {
+        let r = block(c);
+        for (&x, _) in data[r.clone()].iter().zip(&keep[r]).filter(|&(_, &k)| k) {
+            region.push(x);
+        }
+    });
     out
 }
 

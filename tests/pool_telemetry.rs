@@ -22,7 +22,7 @@ static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 #[test]
 fn reset_then_snapshot_gives_absolute_counters() {
     let _l = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    msf_pool::force_width(4);
+    let width = msf_pool::force_width(4);
     let g = mesh2d(&GeneratorConfig::with_seed(7), 30, 30);
     let cfg = MsfConfig::with_threads(4);
 
@@ -34,7 +34,7 @@ fn reset_then_snapshot_gives_absolute_counters() {
     // assert the zero state absolutely.
     msf_pool::reset_telemetry_for_test();
     let zero = msf_pool::pool_stats();
-    assert_eq!(zero.width, 4);
+    assert_eq!(zero.width, width);
     assert_eq!(zero.injector_pushes, 0);
     assert_eq!(zero.injector_pops, 0);
     assert_eq!(zero.team_leases, 0);
