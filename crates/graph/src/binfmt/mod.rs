@@ -35,6 +35,15 @@
 //! a corrupt or hostile file is an `io::Error`, never UB and never a
 //! downstream panic.
 //!
+//! Validation is two pool tasks joined: one pass over the id arrays runs
+//! the u and v checksum chains interleaved plus the endpoint scan, and one
+//! pass over the weights runs the w chain plus the finiteness scan. Each
+//! FNV-1a chain is byte-serial, so the w chain (8 bytes an edge) is the
+//! floor of `open`. Both tasks run to the end, and the errors keep one
+//! order: u, v and w checksum, then endpoints, then weights.
+//! [`BinGraph::to_edge_list`] then builds the edge list with
+//! `msf_pool::map_collect`, without re-checking what `open` checked.
+//!
 //! The writer streams: `u` goes straight to the output file while `v` and
 //! `w` spill to sibling temp files that are concatenated (and deleted) on
 //! [`BinWriter::finish`], so emitting a graph needs O(1) memory no matter
@@ -46,10 +55,12 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::edgelist::{EdgeList, GraphBuildError};
+use crate::edge::Edge;
+use crate::edgelist::{check_id_space, EdgeList, GraphBuildError};
 use crate::vertexid::VertexId;
 use bytes::Bytes;
 use msf_primitives::obs::metrics::{LazyCounter, LazyHistogram};
+use msf_primitives::pool;
 
 static INGEST_BIN_BYTES: LazyCounter = LazyCounter::new("ingest.bin.bytes");
 static INGEST_BIN_EDGES: LazyCounter = LazyCounter::new("ingest.bin.edges");
@@ -465,59 +476,90 @@ impl BinGraph {
             )));
         }
         let g = BinGraph { map, header };
-        let data = g.map.as_slice();
-        let (ur, vr, wr) = g.ranges();
-        if fnv64(&data[ur.clone()]) != g.header.crc_u {
+        // Two tasks: the u and v chains with the endpoint scan, and the w
+        // chain with the finiteness scan. Each runs to its end and keeps its
+        // first bad edge, so the errors below keep one order however the
+        // tasks are scheduled.
+        let ((crc_u, crc_v, bad_endpoints), (crc_w, bad_weight)) = pool::join(
+            || {
+                if g.header.wide() {
+                    g.scan_endpoints::<u64>()
+                } else {
+                    g.scan_endpoints::<u32>()
+                }
+            },
+            || g.scan_weights(),
+        );
+        if crc_u != header.crc_u {
             return Err(bad("u array checksum mismatch (corrupt file)"));
         }
-        if fnv64(&data[vr.clone()]) != g.header.crc_v {
+        if crc_v != header.crc_v {
             return Err(bad("v array checksum mismatch (corrupt file)"));
         }
-        if fnv64(&data[wr.clone()]) != g.header.crc_w {
+        if crc_w != header.crc_w {
             return Err(bad("w array checksum mismatch (corrupt file)"));
         }
-        // Element-wise validation: endpoints in range, no self-loops,
-        // finite weights. One sequential pass over the mapping.
-        if g.header.wide() {
-            g.scan_endpoints::<u64>()?;
-        } else {
-            g.scan_endpoints::<u32>()?;
+        if let Some(e) = bad_endpoints {
+            return Err(e.into());
         }
-        for (i, w) in bytes::cast_slice::<f64>(&g.map.as_slice()[wr])?
-            .iter()
-            .enumerate()
-        {
-            if !w.is_finite() {
-                return Err(GraphBuildError::NonFiniteWeight { index: i }.into());
-            }
+        if let Some(index) = bad_weight {
+            return Err(GraphBuildError::NonFiniteWeight { index }.into());
         }
         Ok(g)
     }
 
-    fn scan_endpoints<V: VertexId>(&self) -> std::io::Result<()> {
+    /// One pass over the id arrays: the u and v checksums, interleaved so
+    /// that the two byte-serial chains overlap, and the first edge whose
+    /// endpoints are out of range or equal.
+    fn scan_endpoints<V: VertexId>(&self) -> (u64, u64, Option<GraphBuildError>) {
+        let (ur, vr, _) = self.ranges();
+        let data = self.map.as_slice();
         let (us, vs) = self
             .endpoints::<V>()
             .expect("scan width matches header width");
+        let width = std::mem::size_of::<V>();
+        let ids = data[ur]
+            .chunks_exact(width)
+            .zip(data[vr].chunks_exact(width));
+        let (mut crc_u, mut crc_v) = (Fnv64::new(), Fnv64::new());
+        let mut first_bad = None;
         let n = self.header.n;
-        for i in 0..us.len() {
-            let (u, v) = (us[i].to_u64(), vs[i].to_u64());
-            if u >= n || v >= n {
-                return Err(GraphBuildError::EndpointOutOfRange {
-                    index: i,
-                    endpoint: u.max(v),
-                    n,
+        for (i, ((ub, vb), (u, v))) in ids.zip(us.iter().zip(vs)).enumerate() {
+            crc_u.update(ub);
+            crc_v.update(vb);
+            let (u, v) = (u.to_u64(), v.to_u64());
+            if first_bad.is_none() {
+                if u >= n || v >= n {
+                    first_bad = Some(GraphBuildError::EndpointOutOfRange {
+                        index: i,
+                        endpoint: u.max(v),
+                        n,
+                    });
+                } else if u == v {
+                    first_bad = Some(GraphBuildError::SelfLoop {
+                        index: i,
+                        vertex: u,
+                    });
                 }
-                .into());
-            }
-            if u == v {
-                return Err(GraphBuildError::SelfLoop {
-                    index: i,
-                    vertex: u,
-                }
-                .into());
             }
         }
-        Ok(())
+        (crc_u.finish(), crc_v.finish(), first_bad)
+    }
+
+    /// One pass over the weight array: its checksum and the index of the
+    /// first non-finite weight.
+    fn scan_weights(&self) -> (u64, Option<usize>) {
+        let (_, _, wr) = self.ranges();
+        let mut crc = Fnv64::new();
+        let mut first_bad = None;
+        let bytes = self.map.as_slice()[wr].chunks_exact(8);
+        for (i, (wb, w)) in bytes.zip(self.weights()).enumerate() {
+            crc.update(wb);
+            if first_bad.is_none() && !w.is_finite() {
+                first_bad = Some(i);
+            }
+        }
+        (crc.finish(), first_bad)
     }
 
     /// Byte ranges of the three arrays (pads excluded).
@@ -583,43 +625,40 @@ impl BinGraph {
         bytes::cast_slice::<f64>(&self.map.as_slice()[wr]).expect("validated array")
     }
 
-    /// Edge `i` as widened `(u, v, w)`, any width.
-    pub fn edge(&self, i: usize) -> (u64, u64, f64) {
-        let w = self.weights()[i];
-        if let Some((us, vs)) = self.endpoints::<u32>() {
-            (u64::from(us[i]), u64::from(vs[i]), w)
-        } else {
-            let (us, vs) = self.endpoints::<u64>().expect("one width matches");
-            (us[i], vs[i], w)
-        }
-    }
-
-    /// Iterate all edges as widened triples in id order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (u64, u64, f64)> + '_> {
-        let ws = self.weights();
-        if let Some((us, vs)) = self.endpoints::<u32>() {
-            Box::new((0..ws.len()).map(move |i| (u64::from(us[i]), u64::from(vs[i]), ws[i])))
-        } else {
-            let (us, vs) = self.endpoints::<u64>().expect("one width matches");
-            Box::new((0..ws.len()).map(move |i| (us[i], vs[i], ws[i])))
-        }
-    }
-
-    /// Materialize the AoS [`EdgeList`] the compute kernels consume. Works
-    /// for wide files too as long as `n` and `m` fit the u32 id space.
+    /// Materialize the AoS [`EdgeList`] the compute kernels consume, on the
+    /// pool. Works for wide files too as long as `n` and `m` fit the u32 id
+    /// space; [`BinGraph::open`] has already validated every edge.
     pub fn to_edge_list(&self) -> std::io::Result<EdgeList> {
-        let mut b = crate::edgelist::EdgeListBuilder::with_capacity(
-            usize::try_from(self.header.n)
-                .map_err(|_| bad("vertex count exceeds the address space"))?,
-            usize::try_from(self.header.m)
-                .map_err(|_| bad("edge count exceeds the address space"))?,
-        )
-        .map_err(std::io::Error::from)?;
-        for (u, v, w) in self.iter() {
-            b.try_push(u, v, w).map_err(std::io::Error::from)?;
-        }
-        Ok(b.finish())
+        let n = usize::try_from(self.header.n)
+            .map_err(|_| bad("vertex count exceeds the address space"))?;
+        let m = usize::try_from(self.header.m)
+            .map_err(|_| bad("edge count exceeds the address space"))?;
+        check_id_space(n, m)?;
+        let edges = match self.endpoints::<u32>() {
+            Some((us, vs)) => edges_of(us, vs, self.weights()),
+            None => {
+                let (us, vs) = self.endpoints::<u64>().expect("one width matches");
+                edges_of(us, vs, self.weights())
+            }
+        };
+        Ok(EdgeList::from_validated(n, edges))
     }
+}
+
+/// Fewest edges one `to_edge_list` task builds.
+const EDGE_GRAIN: usize = 1 << 14;
+
+/// Edge `i` is `(us[i], vs[i], ws[i])` with id `i`. The caller has checked
+/// that ids and the edge count fit u32.
+fn edges_of<V: VertexId>(us: &[V], vs: &[V], ws: &[f64]) -> Vec<Edge> {
+    pool::map_collect(ws.len(), EDGE_GRAIN, |i| {
+        Edge::new(
+            us[i].to_u64() as u32,
+            vs[i].to_u64() as u32,
+            ws[i],
+            i as u32,
+        )
+    })
 }
 
 /// Sniff whether `path` starts with the binary magic (used by the CLI to

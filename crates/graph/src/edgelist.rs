@@ -81,6 +81,53 @@ impl From<GraphBuildError> for std::io::Error {
     }
 }
 
+/// Refuse `n` vertices or `m` edges beyond the u32 vertex-id and edge-id
+/// spaces, before anything is reserved for them.
+pub(crate) fn check_id_space(n: usize, m: usize) -> Result<(), GraphBuildError> {
+    if (n as u128) > <u32 as crate::vertexid::VertexId>::MAX_COUNT {
+        return Err(GraphBuildError::TooManyVertices { n: n as u128 });
+    }
+    if (m as u128) > u32::MAX as u128 {
+        return Err(GraphBuildError::TooManyEdges { m: m as u128 });
+    }
+    Ok(())
+}
+
+/// Edge `index` of a graph on `n` vertices, checked in one order: `u` in
+/// range, then `v`, then no self-loop, then a finite weight. The first
+/// failing check names the error. The caller keeps `index` inside the u32
+/// edge-id space.
+#[inline]
+pub(crate) fn check_edge(
+    n: u64,
+    u: u64,
+    v: u64,
+    w: f64,
+    index: usize,
+) -> Result<Edge, GraphBuildError> {
+    if u >= n {
+        return Err(GraphBuildError::EndpointOutOfRange {
+            index,
+            endpoint: u,
+            n,
+        });
+    }
+    if v >= n {
+        return Err(GraphBuildError::EndpointOutOfRange {
+            index,
+            endpoint: v,
+            n,
+        });
+    }
+    if u == v {
+        return Err(GraphBuildError::SelfLoop { index, vertex: u });
+    }
+    if !w.is_finite() {
+        return Err(GraphBuildError::NonFiniteWeight { index });
+    }
+    Ok(Edge::new(u as u32, v as u32, w, index as u32))
+}
+
 /// Incremental, validating [`EdgeList`] constructor.
 ///
 /// The streaming parsers push one edge at a time straight off the wire;
@@ -103,12 +150,7 @@ impl EdgeListBuilder {
     /// parsers pass the declared edge count so the hot loop never
     /// reallocates).
     pub fn with_capacity(n: usize, m: usize) -> Result<Self, GraphBuildError> {
-        if (n as u128) > <u32 as crate::vertexid::VertexId>::MAX_COUNT {
-            return Err(GraphBuildError::TooManyVertices { n: n as u128 });
-        }
-        if (m as u128) > u32::MAX as u128 {
-            return Err(GraphBuildError::TooManyEdges { m: m as u128 });
-        }
+        check_id_space(n, m)?;
         Ok(EdgeListBuilder {
             n,
             edges: Vec::with_capacity(m),
@@ -124,28 +166,7 @@ impl EdgeListBuilder {
                 m: index as u128 + 1,
             });
         }
-        if u >= self.n as u64 {
-            return Err(GraphBuildError::EndpointOutOfRange {
-                index,
-                endpoint: u,
-                n: self.n as u64,
-            });
-        }
-        if v >= self.n as u64 {
-            return Err(GraphBuildError::EndpointOutOfRange {
-                index,
-                endpoint: v,
-                n: self.n as u64,
-            });
-        }
-        if u == v {
-            return Err(GraphBuildError::SelfLoop { index, vertex: u });
-        }
-        if !w.is_finite() {
-            return Err(GraphBuildError::NonFiniteWeight { index });
-        }
-        self.edges
-            .push(Edge::new(u as u32, v as u32, w, index as u32));
+        self.edges.push(check_edge(self.n as u64, u, v, w, index)?);
         Ok(())
     }
 
@@ -204,6 +225,23 @@ impl EdgeList {
             b.try_push(u as u64, v as u64, w)?;
         }
         Ok(b.finish())
+    }
+
+    /// Wrap edges a loader has already validated: each id equals its
+    /// position, endpoints are `< n` and distinct, weights are finite, and
+    /// `n` and the edge count pass [`check_id_space`]. The loaders that
+    /// validate in parallel build their edges directly and hand them over
+    /// here instead of re-checking each one through [`EdgeListBuilder`].
+    pub(crate) fn from_validated(n: usize, edges: Vec<Edge>) -> Self {
+        debug_assert!(check_id_space(n, edges.len()).is_ok());
+        debug_assert!(edges.iter().enumerate().all(|(i, e)| {
+            e.id as usize == i
+                && (e.u as usize) < n
+                && (e.v as usize) < n
+                && e.u != e.v
+                && e.w.is_finite()
+        }));
+        EdgeList { n, edges }
     }
 
     /// Number of vertices.

@@ -186,19 +186,6 @@ impl MinSlots {
         }
     }
 
-    /// Reset every slot to [`EMPTY`] for reuse in the next round. Takes
-    /// `&mut self`: resetting is a phase boundary, not part of any race.
-    pub fn reset(&mut self) {
-        match &mut self.store {
-            Store::Shared(s) => s.fill_with(SharedSlot::vacant),
-            Store::Single(s) => {
-                for (v, _, _) in s.iter_mut() {
-                    *v.get_mut() = EMPTY;
-                }
-            }
-        }
-    }
-
     /// Lower slot `i` to `v` under the natural `u64` order. Returns whether
     /// the slot changed. `v` must not be [`EMPTY`] itself.
     #[inline]
@@ -284,14 +271,6 @@ impl MinSlots {
             }
         }
     }
-
-    /// Consume the array and return the plain slot values.
-    pub fn into_values(self) -> Vec<u64> {
-        match self.store {
-            Store::Shared(s) => s.into_iter().map(|slot| slot.value.into_inner()).collect(),
-            Store::Single(s) => s.into_iter().map(|(v, _, _)| v.into_inner()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +354,6 @@ mod tests {
         assert!(slots.write_min(0, 7));
         assert_eq!(slots.get(0), 7);
         assert_eq!(slots.get(1), EMPTY);
-        assert_eq!(slots.into_values(), vec![7, EMPTY]);
     }
 
     #[test]
@@ -387,16 +365,6 @@ mod tests {
             slots.write_min_by(0, v, |v| table[v as usize]);
         }
         assert_eq!(slots.get(0), 2); // index of the smallest key
-    }
-
-    #[test]
-    fn reset_vacates_every_slot() {
-        let mut slots = MinSlots::new(3);
-        for i in 0..3 {
-            slots.write_min(i, i as u64);
-        }
-        slots.reset();
-        assert!((0..3).all(|i| slots.get(i) == EMPTY));
     }
 
     #[test]
@@ -448,7 +416,7 @@ mod tests {
         assert!(slots.write_min_by(0, 401, key));
         assert_eq!(slots.get(0), 401);
         assert!(!slots.write_min_by(0, 2, key));
-        assert_eq!(slots.into_values(), vec![401]);
+        assert_eq!(slots.get(0), 401);
     }
 
     #[test]
@@ -479,8 +447,6 @@ mod tests {
             for i in 0..64 {
                 assert_eq!(shared.get(i), single.get(i), "slot {i}");
             }
-            let (a, b) = (shared.into_values(), single.into_values());
-            assert_eq!(a, b);
         }
     }
 }

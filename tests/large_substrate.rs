@@ -128,10 +128,39 @@ fn narrow_and_wide_forests_agree_on_the_pool_matrix() {
     std::fs::remove_file(&wide_path).ok();
 }
 
+/// The error each file of `tests/corpus/malformed` gets, word for word:
+/// the first bad line in file order, with its byte offset.
+const MALFORMED: [(&str, &str); 10] = [
+    (
+        "a-before-p.gr",
+        "byte 0: a line before p line (missing p line)",
+    ),
+    ("bad-token.gr", "byte 19: a line missing u"),
+    ("duplicate-p.gr", "byte 9: duplicate p line"),
+    ("inf-weight.gr", "byte 9: edge 0: weights must be finite"),
+    ("m-overflow.gr", "byte 57: more than the declared 1 edges"),
+    ("nan-weight.gr", "byte 9: edge 0: weights must be finite"),
+    (
+        "out-of-range.gr",
+        "byte 19: edge 1: endpoint 8 out of range for 3 vertices",
+    ),
+    (
+        "self-loop.gr",
+        "byte 9: edge 0: self-loops are not valid input edges (vertex 1)",
+    ),
+    (
+        "truncated.gr",
+        "p line declared 5 edges, found 2 (truncated file?)",
+    ),
+    ("zero-endpoint.gr", "byte 60: DIMACS vertices are 1-indexed"),
+];
+
 /// Every file in tests/corpus/malformed must be rejected by the DIMACS
-/// parser with a clean error (no panic), and none of them sniffs as binary.
+/// parser with its exact error (no panic), the same on the pool and under
+/// `msf_pool::with_sequential`, and none of them sniffs as binary.
 #[test]
 fn malformed_corpus_is_rejected() {
+    msf_pool::force_width(4);
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/malformed");
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -144,16 +173,23 @@ fn malformed_corpus_is_rejected() {
             !binfmt::is_binary_file(&path).unwrap(),
             "{path:?} must not sniff as binary"
         );
-        let file = std::fs::File::open(&path).unwrap();
-        let err = io::read_dimacs(std::io::BufReader::new(file))
-            .expect_err(&format!("{path:?} must be rejected"));
-        let msg = err.to_string();
-        assert!(
-            msg.contains("byte ") || msg.contains("edge") || msg.contains("line"),
-            "{path:?}: error should locate the problem, got: {msg}"
-        );
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let expected = MALFORMED
+            .iter()
+            .find(|(file, _)| *file == name)
+            .unwrap_or_else(|| panic!("{name}: add its expected error to MALFORMED"))
+            .1;
+        let parse = || {
+            let file = std::fs::File::open(&path).unwrap();
+            io::read_dimacs(std::io::BufReader::new(file))
+                .expect_err(&format!("{path:?} must be rejected"))
+                .to_string()
+        };
+        let pooled = parse();
+        assert_eq!(pooled, msf_pool::with_sequential(parse), "{name}");
+        assert_eq!(pooled, expected, "{name}");
     }
-    assert!(seen >= 10, "malformed corpus went missing ({seen} files)");
+    assert_eq!(seen, MALFORMED.len(), "malformed corpus went missing");
 }
 
 /// A corrupt binary file must never load: flip any header field or payload
