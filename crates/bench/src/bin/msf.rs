@@ -427,11 +427,11 @@ fn trace_cmd(args: &[String]) {
 /// under the span-stack sampling profiler and report where the time went.
 ///
 /// The inner command runs in-process (same dispatch as `msf <subcommand>`),
-/// so the profiler sees the real pool workers and team threads. Metrics are
-/// force-enabled so the instrumented `phase.*.wall_ns` histograms accumulate
-/// alongside the samples; the agreement table at the end cross-checks the
-/// two for every phase that held ≥5% of the run, and `--assert-agree PCT`
-/// turns disagreement beyond PCT percent into exit code 1.
+/// so the profiler sees the real pool workers. Metrics are force-enabled so
+/// the instrumented `phase.*.wall_ns` histograms accumulate alongside the
+/// samples; the agreement table at the end cross-checks the two for every
+/// phase that held ≥5% of the run, and `--assert-agree PCT` turns
+/// disagreement beyond PCT percent into exit code 1.
 fn profile_cmd(args: &[String]) {
     let mut hz = 997u64;
     let mut out_path: Option<String> = None;
@@ -1228,11 +1228,10 @@ fn bench(args: &[String]) {
     // report that tracks the offline numbers.
     let serve = serve_bench_entry(scale, seed);
     // One source of truth: fold the pool's native counters into the metrics
-    // registry, then let both this JSON block and the daemon's scrape
-    // endpoint read the same names out of the same snapshot.
+    // registry, so the report's `metrics` block and the daemon's scrape
+    // endpoint read the same `pool.*` names out of the same snapshot.
     msf_pool::publish_metrics();
     let metrics = obs::metrics::snapshot();
-    let pool_counter = |name: &str| metrics.counter(name).unwrap_or(0);
     let mem = obs::alloc::stats();
     // Hand-rolled JSON (no serde in the offline image). Every emitted string
     // is generated here and contains no characters needing escapes.
@@ -1254,39 +1253,6 @@ fn bench(args: &[String]) {
     doc.push_str(&format!(
         "    \"proc_sweep\": [{}]\n",
         msf_bench::PROC_SWEEP.map(|p| p.to_string()).join(", ")
-    ));
-    doc.push_str("  },\n");
-    doc.push_str("  \"pool\": {\n");
-    doc.push_str(&format!("    \"threads\": {pool_width},\n"));
-    doc.push_str(&format!(
-        "    \"steal_hits\": {},\n",
-        pool_counter("pool.steal_hits")
-    ));
-    doc.push_str(&format!(
-        "    \"steal_misses\": {},\n",
-        pool_counter("pool.steal_misses")
-    ));
-    doc.push_str(&format!("    \"parks\": {},\n", pool_counter("pool.parks")));
-    doc.push_str(&format!(
-        "    \"injector_pushes\": {},\n",
-        pool_counter("pool.injector_pushes")
-    ));
-    doc.push_str(&format!(
-        "    \"injector_pops\": {},\n",
-        pool_counter("pool.injector_pops")
-    ));
-    doc.push_str(&format!("    \"wakes\": {},\n", pool_counter("pool.wakes")));
-    doc.push_str(&format!(
-        "    \"deque_overflows\": {},\n",
-        pool_counter("pool.deque_overflows")
-    ));
-    doc.push_str(&format!(
-        "    \"team_threads_spawned\": {},\n",
-        pool_counter("pool.team_threads_spawned")
-    ));
-    doc.push_str(&format!(
-        "    \"team_leases\": {}\n",
-        pool_counter("pool.team_leases")
     ));
     doc.push_str("  },\n");
     doc.push_str("  \"serve\": {\n");
@@ -1498,23 +1464,27 @@ fn regress_cmd(args: &[String]) {
 
 fn info(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
+    let mut lines = Vec::new();
     if binfmt::is_binary_file(path.as_str()).unwrap_or(false) {
         match binfmt::BinGraph::open(path.as_str()) {
             Ok(bin) => {
-                println!("format:      msfb binary v{}", binfmt::VERSION);
-                println!("ids:         {}", if bin.wide() { "u64" } else { "u32" });
-                println!(
+                lines.push(format!("format:      msfb binary v{}", binfmt::VERSION));
+                lines.push(format!(
+                    "ids:         {}",
+                    if bin.wide() { "u64" } else { "u32" }
+                ));
+                lines.push(format!(
                     "sorted:      {}",
                     if bin.header().weight_sorted() {
                         "by weight"
                     } else {
                         "no"
                     }
-                );
-                println!(
+                ));
+                lines.push(format!(
                     "backing:     {}",
                     if bin.is_mmap() { "mmap" } else { "heap" }
-                );
+                ));
             }
             Err(e) => {
                 eprintln!("cannot open {path}: {e}");
@@ -1522,19 +1492,31 @@ fn info(args: &[String]) {
             }
         }
     } else {
-        println!("format:      dimacs text");
+        lines.push("format:      dimacs text".to_string());
     }
     let g = load(path);
-    println!("file:        {path}");
-    println!("vertices:    {}", g.num_vertices());
-    println!("edges:       {}", g.num_edges());
-    println!("density m/n: {:.2}", g.density());
-    println!("components:  {}", msf_graph::validate::component_count(&g));
-    println!(
+    lines.push(format!("file:        {path}"));
+    lines.push(format!("vertices:    {}", g.num_vertices()));
+    lines.push(format!("edges:       {}", g.num_edges()));
+    lines.push(format!("density m/n: {:.2}", g.density()));
+    lines.push(format!(
+        "components:  {}",
+        msf_graph::validate::component_count(&g)
+    ));
+    lines.push(format!(
         "simple:      {}",
         match msf_graph::validate::check_simple(&g) {
             Ok(()) => "yes".to_string(),
             Err(e) => format!("no ({e})"),
         }
-    );
+    ));
+    // A reader that stops early (`msf info g.gr | head -3`) closes the pipe;
+    // that is the reader's choice, not a failure of this command.
+    let report = format!("{}\n", lines.join("\n"));
+    if let Err(e) = std::io::stdout().lock().write_all(report.as_bytes()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(2);
+        }
+    }
 }

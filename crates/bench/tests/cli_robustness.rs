@@ -3,10 +3,11 @@
 //! algorithm or certificate failed", a different situation scripts must
 //! distinguish). Exercised over every file in `tests/corpus/malformed/`
 //! plus the missing-path and unreadable-path cases, for each subcommand
-//! that reads a graph.
+//! that reads a graph. A reader that closes the output pipe early is not an
+//! error either.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn msf() -> Command {
     Command::new(env!("CARGO_BIN_EXE_msf"))
@@ -104,5 +105,37 @@ fn diagnostics_name_the_offending_path() {
     assert!(
         stderr.contains("truncated.gr"),
         "the diagnostic should name the file:\n{stderr}"
+    );
+}
+
+/// `msf info g.gr | head -3`: the reader may close the pipe before `info`
+/// has written, and `info` must then end quietly with exit 0, not panic.
+#[test]
+fn info_into_a_closed_pipe_exits_0_quietly() {
+    let graph = corpus_dir().join("../tie-square.gr");
+    // A reader that exits without reading. Once it is reaped the pipe has
+    // no reader left, so the first write of `msf info` fails with EPIPE.
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("spawn a reader");
+    let pipe = reader.stdin.take().expect("the reader's stdin pipe");
+    reader.wait().expect("the reader exits");
+    let out = msf()
+        .arg("info")
+        .arg(&graph)
+        .stdout(pipe)
+        .output()
+        .expect("spawn the msf binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "msf info into a closed pipe: {:?}; stderr:\n{stderr}",
+        out.status
+    );
+    assert!(
+        stderr.is_empty(),
+        "msf info into a closed pipe wrote:\n{stderr}"
     );
 }

@@ -143,10 +143,11 @@ impl std::fmt::Display for Algorithm {
 /// Run-time configuration shared by all algorithms.
 #[derive(Debug, Clone)]
 pub struct MsfConfig {
-    /// Logical processor count `p`: the number of SPMD workers (MST-BC) and
-    /// of parallel blocks (Borůvka variants). On a machine whose pool
-    /// (`msf_primitives::pool::width`) is at least this wide it is also the
-    /// physical parallelism.
+    /// Logical processor count `p`: the number of Prim growers (MST-BC) and
+    /// of parallel blocks (Borůvka variants), each one pool task. On a pool
+    /// (`msf_primitives::pool::width`) at least this wide it is also the
+    /// physical parallelism; on a narrower pool the `p` tasks share the
+    /// workers.
     pub threads: usize,
     /// MST-BC recurses until the contracted problem has at most this many
     /// vertices, then solves it sequentially (the paper's `nb`).

@@ -185,8 +185,8 @@ pub(crate) fn segmented_find_min(
 /// ([`pool::runs_inline`]: the sequential escape hatch is on, or the pool
 /// has a single worker). This is the soundness condition for
 /// [`MinSlots::new_single_writer`]'s plain path — note it is about the
-/// *pool*, not the host: an `SmpTeam` leases real threads at any pool width
-/// and never qualifies.
+/// *pool*, not the host, and covers only races run in the pool's loops:
+/// writers on threads a caller spawns itself never qualify.
 pub(crate) fn min_slots_here(n: usize) -> MinSlots {
     if pool::runs_inline() {
         MinSlots::new_single_writer(n)

@@ -36,7 +36,6 @@ use msf_primitives::obs;
 use msf_primitives::permutation::parallel_permutation;
 use msf_primitives::pool;
 use msf_primitives::steal::StealingPartitions;
-use msf_primitives::team::SmpTeam;
 use msf_primitives::unionfind::UnionFind;
 
 use crate::par::common::{connect_components_from_roots, relabel_and_filter, PHASE_OVERHEAD};
@@ -268,19 +267,24 @@ fn merge_parallel_edges(
     merged
 }
 
-/// Alg. 2: every team member claims uncolored start vertices and grows Prim
-/// trees until maturity. Returns the chosen edge indices and the visited
-/// map, and adds each rank's work to `meters`.
+/// Alg. 2: `p` growers, one pool task each, claim uncolored start vertices
+/// and grow Prim trees until maturity. Returns the chosen edge indices and
+/// the visited map, and adds grower `t`'s work to `meters[t]`.
 ///
 /// Colour and visited traffic is `Relaxed`. A colour is written once, by a
 /// CAS from 0, and every decision reads a single colour slot, so per-slot
 /// coherence is all the races need. A stale 0 only makes the grower try a
 /// CAS that fails, or miss a maturity stop, which merely ends growth early:
 /// every accepted edge is still the heap minimum over the tree's whole cut.
-/// `visited[v]` is written and read only by the rank whose colour `v`
-/// holds. The team's join publishes both arrays to the caller: each rank's
-/// latch is set with `Release` and awaited with `Acquire` (a scoped-thread
-/// join under `MSF_SEQUENTIAL`).
+/// `visited[v]` is written and read only by the grower whose colour `v`
+/// holds. `map_collect` publishes both arrays to the caller: each task's
+/// latch is set with `Release` and awaited with `Acquire`. Under the
+/// sequential escape hatch the growers run in rank order on the calling
+/// thread, and program order publishes them.
+///
+/// No grower waits for another, so `p` may exceed the pool width: the
+/// growers are then multiplexed on the workers, and how far each one grows
+/// (hence the modeled cost) follows the schedule.
 fn grow_trees(
     rows: &Rows,
     edges: &[Edge],
@@ -297,9 +301,8 @@ fn grow_trees(
         .then(|| parallel_permutation(n, p, cfg.seed ^ level.wrapping_mul(0x9e37)));
     let partitions = StealingPartitions::new(n, p);
 
-    let team = SmpTeam::new(p);
-    let results: Vec<(Vec<u32>, WorkMeter, MstBcStats)> = team.run(|ctx| {
-        let t = ctx.rank;
+    let results: Vec<(Vec<u32>, WorkMeter, MstBcStats)> = pool::map_collect(p, 1, |t| {
+        let _grower = obs::span(obs::SpanKind::Rank, t as u64, p as u64);
         let mut meter = WorkMeter::new();
         let mut local_stats = MstBcStats::default();
         let mut heap: IndexedHeap<EdgeKey> = IndexedHeap::new(n);
@@ -350,11 +353,11 @@ fn grow_trees(
             let mut accepted = 0u32;
             while let Some((_, w)) = heap.extract_min() {
                 meter.ops(1);
-                // On hosts with fewer cores than p, one thread could grow an
-                // entire component before its peers are scheduled, which no
-                // real SMP would do. Yielding every few dozen acceptances
-                // interleaves the growers the way genuine concurrency does;
-                // it is a no-op cost on machines with >= p cores.
+                // On hosts with fewer cores than pool workers, one worker
+                // could grow an entire component before its peers are
+                // scheduled, which no real SMP would do. Yielding every few
+                // dozen acceptances interleaves the workers the way genuine
+                // concurrency does; it costs nothing with a core per worker.
                 accepted += 1;
                 if p > 1 && accepted.is_multiple_of(32) {
                     std::thread::yield_now();

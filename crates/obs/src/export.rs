@@ -342,7 +342,7 @@ mod tests {
                 },
                 TraceThread {
                     tid: 1,
-                    name: "msf-team".into(),
+                    name: "msf-pool-0".into(),
                     dropped: 0,
                 },
             ],
@@ -396,7 +396,7 @@ mod tests {
         assert!(json.contains("\"compact-graph\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"ts\":1.500"));
-        assert!(json.contains("\"msf-team\""));
+        assert!(json.contains("\"msf-pool-0\""));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Per-thread lock-free event rings plus a span/phase tracing API, designed so
 //! that the *disabled* path costs one relaxed atomic load and a branch — cheap
-//! enough to leave compiled into every Borůvka step loop and the pool's team
-//! lifecycles permanently.
+//! enough to leave compiled into every Borůvka step loop and every MST-BC
+//! grower permanently.
 //!
 //! Architecture:
 //!
@@ -102,9 +102,8 @@ pub enum SpanKind {
     Compact = 6,
     /// A sequential base-case solve (MST-BC leaves, filter kernels).
     BaseCase = 7,
-    /// One `SmpTeam::run` SPMD phase. begin: `a` = team width.
-    TeamRun = 8,
-    /// One rank's lifetime inside a team run. begin: `a` = rank, `b` = width.
+    /// One MST-BC Prim grower task. begin: `a` = grower rank, `b` = growers
+    /// in the round. (Id 8 is retired.)
     Rank = 9,
     /// The edge-filtering stage of Bor-FAL+filter. end: `a` = edges kept,
     /// `b` = edges dropped.
@@ -118,7 +117,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for iteration in tests and exporters.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Run,
         SpanKind::Setup,
         SpanKind::Iteration,
@@ -126,7 +125,6 @@ impl SpanKind {
         SpanKind::Connect,
         SpanKind::Compact,
         SpanKind::BaseCase,
-        SpanKind::TeamRun,
         SpanKind::Rank,
         SpanKind::Filter,
         SpanKind::Serve,
@@ -142,7 +140,6 @@ impl SpanKind {
             SpanKind::Connect => "connect-components",
             SpanKind::Compact => "compact-graph",
             SpanKind::BaseCase => "base-case",
-            SpanKind::TeamRun => "team-run",
             SpanKind::Rank => "rank",
             SpanKind::Filter => "filter",
             SpanKind::Serve => "serve",

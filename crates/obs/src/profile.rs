@@ -216,9 +216,9 @@ fn register() -> Arc<SpanStack> {
 }
 
 /// Pre-register the calling thread's span stack under its current OS thread
-/// name. Pool workers and team threads call this at startup so their stacks
-/// exist (and carry the pool names) before the first profiled span; any
-/// other thread registers lazily on its first push.
+/// name. Pool workers call this at startup so their stacks exist (and carry
+/// the pool names) before the first profiled span; any other thread
+/// registers lazily on its first push.
 pub fn register_current_thread() {
     LOCAL.with(|cell| {
         cell.get_or_init(register);

@@ -1,22 +1,17 @@
 //! `msf_pool`: the persistent work-stealing execution backend under every
-//! parallel kernel of the workspace and `SmpTeam`.
+//! parallel kernel of the workspace.
 //!
 //! The pool is **lazily initialized** (first `join`/width query builds it),
 //! **process-global** (one registry, leaked for `'static`), and
-//! **persistent** (workers live for the process; SPMD leases reuse cached
-//! dedicated threads). Two kinds of threads exist:
-//!
-//! - **Stealing workers** ([`registry`]): run fork-join jobs from per-worker
-//!   chase-lev-style deques (packed-CAS cursors, the `steal.rs` idiom) plus
-//!   an injector for external submissions. These power [`join`] and the
-//!   data-parallel loops built on it: [`map_collect`] (the `p`-block
-//!   par-for and the par map-collect over an index domain), [`map_mut`]
-//!   (one task per per-block state) and [`fill_regions`] (vectors built
-//!   from per-block regions of known length, each block writing its own).
-//! - **Team threads** ([`team`]): dedicated threads leased per
-//!   `SmpTeam::run` to host barrier-synchronized SPMD ranks, which must not
-//!   share stealing workers (blocking a worker on a barrier under the deque
-//!   stack discipline can deadlock when ranks outnumber cores).
+//! **persistent** (workers live for the process). Its stealing workers run
+//! fork-join jobs from per-worker chase-lev-style deques (packed-CAS
+//! cursors, the `steal.rs` idiom) plus an injector for external
+//! submissions. These power [`join`] and the data-parallel loops built on
+//! it: [`map_collect`] (the `p`-block par-for and the par map-collect over
+//! an index domain), [`map_mut`] (one task per per-block state) and
+//! [`fill_regions`] (vectors built from per-block regions of known length,
+//! each block writing its own). Every "for processor p_i" step of the
+//! paper, MST-BC's concurrent Prim growers included, is one of these loops.
 //!
 //! # Sequential escape hatch
 //! Two independent switches force the exact pre-pool sequential behaviour
@@ -33,36 +28,32 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod barrier;
 mod deque;
 mod job;
 mod latch;
 mod loops;
 mod registry;
-pub mod team;
 mod telemetry;
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-pub use barrier::{BarrierPoisoned, SenseBarrier};
 pub use loops::{fill_regions, map_collect, map_mut, Sink};
-pub use team::{run_team, run_team_collect};
 pub use telemetry::{publish_metrics, PoolStats, PoolWorkerStats};
 
 /// A monotone snapshot of the pool's lifetime telemetry counters (steals,
-/// injector traffic, parks/wakes, deque overflows, team leases). Never
-/// starts the pool: before first use all counters are zero and `width` is 0.
+/// injector traffic, parks/wakes, deque overflows). Never starts the pool:
+/// before first use all counters are zero and `width` is 0.
 pub fn pool_stats() -> PoolStats {
     registry::stats_snapshot()
 }
 
 /// Zero the pool's lifetime telemetry counters (steals, injector traffic,
-/// parks/wakes, overflows, team leases/spawns), so a test can assert on the
-/// deltas of *its own* work rather than on whatever ran earlier in the
-/// process. **Test isolation only**: counters are normally monotone for the
-/// process lifetime, and racing workers may be mid-increment — call this
-/// only at quiescence (no in-flight pool work).
+/// parks/wakes, overflows), so a test can assert on the deltas of *its own*
+/// work rather than on whatever ran earlier in the process. **Test
+/// isolation only**: counters are normally monotone for the process
+/// lifetime, and racing workers may be mid-increment — call this only at
+/// quiescence (no in-flight pool work).
 pub fn reset_telemetry_for_test() {
     registry::reset_telemetry_for_test();
     telemetry::reset_published_for_test();
@@ -96,7 +87,7 @@ pub fn sequential_here() -> bool {
 
 /// Run `f` with the sequential escape hatch forced on for the calling
 /// thread (nesting-safe). Everything under `f` that consults the pool —
-/// `join`, `map_collect`, `map_mut`, `SmpTeam` — runs inline on this
+/// `join`, `map_collect`, `map_mut`, `fill_regions` — runs inline on this
 /// thread in deterministic sequential order, exactly like
 /// `MSF_SEQUENTIAL=1`.
 pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
@@ -257,70 +248,5 @@ mod tests {
             );
             assert_eq!((a, b), (1, 2));
         });
-    }
-
-    #[test]
-    fn run_team_collect_returns_rank_order() {
-        pool_width_4();
-        for p in [1usize, 2, 3, 7, 8] {
-            let out = run_team_collect(p, |rank| rank * 10);
-            assert_eq!(out, (0..p).map(|r| r * 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn run_team_ranks_run_concurrently_across_barrier() {
-        pool_width_4();
-        let p = 4;
-        let barrier = SenseBarrier::new(p);
-        let phase1 = AtomicUsize::new(0);
-        let phase2 = AtomicUsize::new(0);
-        run_team(p, &|_rank| {
-            phase1.fetch_add(1, Ordering::SeqCst);
-            barrier.wait();
-            // Every rank must have finished phase 1 before any enters 2.
-            assert_eq!(phase1.load(Ordering::SeqCst), p);
-            phase2.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(phase2.load(Ordering::SeqCst), p);
-    }
-
-    #[test]
-    fn run_team_propagates_original_panic_over_barrier_poison() {
-        pool_width_4();
-        let p = 3;
-        let barrier = SenseBarrier::new(p);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_team(p, &|rank| {
-                if rank == 1 {
-                    barrier.poison();
-                    panic!("rank 1 died");
-                }
-                barrier.wait(); // poisoned → BarrierPoisoned panic
-            });
-        }));
-        let payload = caught.expect_err("team panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied();
-        assert_eq!(msg, Some("rank 1 died"), "original panic must win");
-        assert!(barrier.is_poisoned());
-    }
-
-    #[test]
-    fn sense_barrier_is_reusable_across_phases() {
-        pool_width_4();
-        let p = 4;
-        let barrier = SenseBarrier::new(p);
-        let counter = AtomicUsize::new(0);
-        run_team(p, &|_rank| {
-            for phase in 0..50usize {
-                counter.fetch_add(1, Ordering::SeqCst);
-                barrier.wait();
-                // All p increments of this phase (and no later ones — the
-                // second wait below holds everyone) are in.
-                assert_eq!(counter.load(Ordering::SeqCst), (phase + 1) * p);
-                barrier.wait();
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 50 * p);
     }
 }

@@ -341,27 +341,20 @@ impl Registry {
     }
 }
 
-/// Zero the registry counters and the team lease/spawn statics. Test
-/// isolation only; see [`crate::reset_telemetry_for_test`].
+/// Zero the registry counters. Test isolation only; see
+/// [`crate::reset_telemetry_for_test`].
 pub(crate) fn reset_telemetry_for_test() {
     if let Some(registry) = REGISTRY.get() {
         registry.counters.reset_for_test();
     }
-    crate::team::TEAM_LEASES.store(0, Ordering::Relaxed);
-    crate::team::TEAM_SPAWNS.store(0, Ordering::Relaxed);
 }
 
 /// The current telemetry snapshot; zeros (width 0) when the pool was never
 /// started, so the query itself does not force workers into existence.
 pub(crate) fn stats_snapshot() -> PoolStats {
-    match REGISTRY.get() {
-        Some(registry) => registry.counters.snapshot(),
-        None => PoolStats {
-            team_threads_spawned: crate::team::TEAM_SPAWNS.load(Ordering::Relaxed),
-            team_leases: crate::team::TEAM_LEASES.load(Ordering::Relaxed),
-            ..PoolStats::default()
-        },
-    }
+    REGISTRY
+        .get()
+        .map_or_else(PoolStats::default, |registry| registry.counters.snapshot())
 }
 
 /// Potentially-parallel `join`: see [`crate::join`] for the public contract.

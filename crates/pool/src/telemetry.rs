@@ -1,6 +1,6 @@
 //! Always-on pool telemetry: relaxed monotone counters on the registry's
-//! rare paths (steal probes, injector traffic, sleep/wake, deque overflow)
-//! and the team-thread cache, snapshotted as a [`PoolStats`].
+//! rare paths (steal probes, injector traffic, sleep/wake, deque overflow),
+//! snapshotted as a [`PoolStats`].
 //!
 //! Counters are deliberately *not* gated by `MSF_TRACE`: every increment
 //! sits on a path that already paid a CAS, a mutex, or a condvar, so a
@@ -16,11 +16,6 @@ use msf_obs::metrics::LazyHistogram;
 /// victim probe to the hit). Gated with the rest of the metrics registry.
 pub(crate) static STEAL_LATENCY_NS: LatencyHistogram =
     LatencyHistogram(LazyHistogram::new("pool.steal_latency_ns"));
-
-/// How long `SmpTeam::run` waited to lease one team thread (nanoseconds;
-/// cache hits are ~a mutex, spawns dominate the tail).
-pub(crate) static LEASE_WAIT_NS: LatencyHistogram =
-    LatencyHistogram(LazyHistogram::new("pool.lease_wait_ns"));
 
 /// A histogram of elapsed nanoseconds with an explicit two-phase timer, so
 /// the `Instant::now()` pair is only paid while metrics are enabled.
@@ -111,8 +106,6 @@ impl RegistryCounters {
             injector_pops: self.injector_pops.get(),
             wakes: self.wakes.get(),
             deque_overflows: self.overflows.get(),
-            team_threads_spawned: crate::team::TEAM_SPAWNS.load(Ordering::Relaxed),
-            team_leases: crate::team::TEAM_LEASES.load(Ordering::Relaxed),
         }
     }
 
@@ -161,19 +154,15 @@ pub struct PoolStats {
     pub wakes: u64,
     /// Fork attempts that found the worker's deque full and ran inline.
     pub deque_overflows: u64,
-    /// Dedicated SPMD team threads ever created.
-    pub team_threads_spawned: u64,
-    /// Team-thread leases served (one per non-zero rank per `SmpTeam::run`).
-    pub team_leases: u64,
 }
 
 /// Totals already pushed into the metrics registry, so republishing adds
 /// only the delta (registry counters are add-only; pool counters are
 /// monotone).
-static PUBLISHED: std::sync::Mutex<[u64; 9]> = std::sync::Mutex::new([0; 9]);
+static PUBLISHED: std::sync::Mutex<[u64; 7]> = std::sync::Mutex::new([0; 7]);
 
 /// Sync the pool's lifetime telemetry into the `msf-obs` metrics registry
-/// as the nine `pool.*` counters, making the registry the single source of
+/// as the seven `pool.*` counters, making the registry the single source of
 /// truth for every consumer (`msf bench --json`, the daemon's scrape
 /// endpoint). Idempotent and monotone: each call adds only what accrued
 /// since the previous call. No-op while metrics are disabled.
@@ -184,7 +173,7 @@ static PUBLISHED: std::sync::Mutex<[u64; 9]> = std::sync::Mutex::new([0; 9]);
 /// [`crate::reset_telemetry_for_test`] too, which resets both sides).
 pub fn publish_metrics() {
     use msf_obs::metrics::LazyCounter;
-    static COUNTERS: [LazyCounter; 9] = [
+    static COUNTERS: [LazyCounter; 7] = [
         LazyCounter::new("pool.steal_hits"),
         LazyCounter::new("pool.steal_misses"),
         LazyCounter::new("pool.parks"),
@@ -192,8 +181,6 @@ pub fn publish_metrics() {
         LazyCounter::new("pool.injector_pops"),
         LazyCounter::new("pool.wakes"),
         LazyCounter::new("pool.deque_overflows"),
-        LazyCounter::new("pool.team_threads_spawned"),
-        LazyCounter::new("pool.team_leases"),
     ];
     if !msf_obs::metrics::enabled() {
         return;
@@ -207,8 +194,6 @@ pub fn publish_metrics() {
         s.injector_pops,
         s.wakes,
         s.deque_overflows,
-        s.team_threads_spawned,
-        s.team_leases,
     ];
     let mut last = PUBLISHED.lock().unwrap_or_else(|e| e.into_inner());
     for ((counter, &cur), prev) in COUNTERS.iter().zip(&now).zip(last.iter_mut()) {
@@ -222,7 +207,7 @@ pub fn publish_metrics() {
 /// Forget the published-totals cache (paired with zeroing the pool's own
 /// counters). Test isolation only.
 pub(crate) fn reset_published_for_test() {
-    *PUBLISHED.lock().unwrap_or_else(|e| e.into_inner()) = [0; 9];
+    *PUBLISHED.lock().unwrap_or_else(|e| e.into_inner()) = [0; 7];
 }
 
 impl PoolStats {
@@ -275,21 +260,21 @@ mod tests {
         msf_obs::metrics::set_enabled(true);
         publish_metrics(); // sync whatever ran before this test
         let before = msf_obs::metrics::snapshot()
-            .counter("pool.team_leases")
+            .counter("pool.injector_pushes")
             .unwrap_or(0);
-        // One 4-rank team run leases exactly 3 non-zero-rank threads.
-        crate::run_team(4, &|_rank| {});
+        // A join from outside the pool always injects its `b` half.
+        assert_eq!(crate::join(|| 1u32, || 2u32), (1, 2));
         publish_metrics();
         let mid = msf_obs::metrics::snapshot()
-            .counter("pool.team_leases")
-            .expect("pool.team_leases must be registered after publish");
-        assert!(mid >= before + 3, "leases {before} -> {mid}");
+            .counter("pool.injector_pushes")
+            .expect("pool.injector_pushes must be registered after publish");
+        assert!(mid > before, "injector pushes {before} -> {mid}");
         // Republishing without new pool work never double-counts: the
         // registry value may only grow by what other tests' pool work
         // accrued, never shrink.
         publish_metrics();
         let after = msf_obs::metrics::snapshot()
-            .counter("pool.team_leases")
+            .counter("pool.injector_pushes")
             .unwrap();
         assert!(after >= mid);
         let snap = msf_obs::metrics::snapshot();
@@ -297,11 +282,9 @@ mod tests {
             "pool.steal_hits",
             "pool.steal_misses",
             "pool.parks",
-            "pool.injector_pushes",
             "pool.injector_pops",
             "pool.wakes",
             "pool.deque_overflows",
-            "pool.team_threads_spawned",
         ] {
             assert!(snap.counter(name).is_some(), "{name} missing from registry");
         }
@@ -311,21 +294,15 @@ mod tests {
     fn pool_work_moves_the_counters() {
         let width = crate::force_width(4);
         let before = crate::pool_stats();
-        // A team run leases p-1 = 3 threads, deterministically.
-        crate::run_team(4, &|_rank| {});
-        // An external join always injects its b half.
-        let (a, b) = crate::join(|| 1u32, || 2u32);
-        assert_eq!((a, b), (1, 2));
+        // Four one-index tasks from outside the pool: every external join
+        // of the split injects its `b` half.
+        assert_eq!(crate::map_collect(4, 1, |i| i * 10), vec![0, 10, 20, 30]);
         let after = crate::pool_stats();
         assert_eq!(after.width, width);
         assert_eq!(after.workers.len(), width);
-        assert!(after.team_leases >= before.team_leases + 3);
-        // At least one dedicated thread must ever have been created; exactly
-        // how many is a race (a fast rank can re-idle its thread between
-        // two leases of the same run, so one thread may serve all ranks).
-        assert!(after.team_threads_spawned >= 1);
         assert!(after.injector_pushes > before.injector_pushes);
         // Monotonicity across the board.
+        assert!(after.injector_pops >= before.injector_pops);
         assert!(after.steal_hits() >= before.steal_hits());
         assert!(after.steal_misses() >= before.steal_misses());
         assert!(after.parks() >= before.parks());

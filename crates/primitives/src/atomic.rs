@@ -27,8 +27,8 @@
 //!   every writer the filter turned away, so the result stays exact.
 //!   [`MinSlots::new_single_writer`] is the plain load/compare/store store
 //!   for races that provably run on one thread; [`MinSlots::new`] is
-//!   always the shared store, because `SmpTeam` ranks are real threads even
-//!   under the sequential escape hatch.
+//!   always the shared store, because the sequential escape hatch inlines
+//!   only the pool's loops, not threads a caller spawns itself.
 //!
 //! Contention is observable: every failed `compare_exchange`, on the filter
 //! or on the value, increments the `atomic.write_min.cas_retry` registry
@@ -144,9 +144,9 @@ impl MinSlots {
     /// **Caller contract:** every `write_min`/`write_min_by` on this array
     /// happens on one thread. Algorithms whose races run in the pool's
     /// loops (`map_collect`, `map_mut`) satisfy it when the pool runs
-    /// everything inline (`msf_pool::runs_inline`); `SmpTeam` ranks are
-    /// real threads at any pool width, and under the sequential escape
-    /// hatch too, and must use [`new`](MinSlots::new).
+    /// everything inline (`msf_pool::runs_inline`); writers on threads of
+    /// the caller's own, which race under the sequential escape hatch too,
+    /// must use [`new`](MinSlots::new).
     pub fn new_single_writer(n: usize) -> MinSlots {
         MinSlots {
             store: Store::Single(
@@ -369,8 +369,8 @@ mod tests {
 
     #[test]
     fn sequential_mode_keeps_the_shared_store() {
-        // The escape hatch runs `SmpTeam` ranks as scoped threads, so `new`
-        // must stay safe for many writers there: only `new_single_writer`
+        // The escape hatch inlines only the pool's loops, so `new` must stay
+        // safe for writers on a caller's own threads: only `new_single_writer`
         // (reached through a caller that knows every write runs inline)
         // takes the plain path.
         crate::pool::with_sequential(|| {

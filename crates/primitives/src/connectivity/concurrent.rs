@@ -30,10 +30,10 @@
 //!
 //! Contention is observable: every lost hook CAS increments the
 //! `unionfind.hook.cas_retry` registry counter. There is one path for every
-//! mode: the sequential escape hatch still runs `SmpTeam` ranks as real
-//! (scoped) threads, so a plain store there could hook one root twice. A
-//! caller that unites on one thread never loses a CAS, so it records zero
-//! retries anyway.
+//! mode: the sequential escape hatch inlines only the pool's loops, and
+//! threads a caller spawns itself still race, so a plain store there could
+//! hook one root twice. A caller that unites on one thread never loses a
+//! CAS, so it records zero retries anyway.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -229,25 +229,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sequential_mode_races_safely_on_team_threads() {
-        // Under the escape hatch `SmpTeam` ranks are still real threads:
-        // every rank walks the same star, and each root must be hooked
-        // exactly once.
-        crate::pool::with_sequential(|| {
-            let n = 2_000u32;
-            let uf = ConcurrentUnionFind::new(n as usize);
-            crate::team::SmpTeam::new(4).run(|_ctx| {
-                for v in 1..n {
-                    uf.unite(0, v, v - 1);
-                }
-            });
-            assert!((0..n).all(|v| uf.find(v) == n - 1));
-            let mut tags = uf.hooked();
-            tags.sort_unstable();
-            assert_eq!(tags, (0..n - 1).collect::<Vec<_>>());
-        });
     }
 }

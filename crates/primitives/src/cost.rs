@@ -2,11 +2,11 @@
 //!
 //! The paper analyzes every algorithm as ⟨ME; TC⟩ — the number of
 //! non-contiguous **m**emory accesses and the **c**omputation time (§3).
-//! This module lets the algorithms measure both empirically: each SPMD
-//! worker carries a [`WorkMeter`] and bumps it as it touches memory and does
-//! work; [`modeled_time`] then reduces the per-thread meters to the modeled
-//! parallel running time (the maximum over workers, since barriers make each
-//! phase as slow as its slowest worker).
+//! This module lets the algorithms measure both empirically: each of the
+//! `p` processor blocks carries a [`WorkMeter`] and bumps it as it touches
+//! memory and does work; [`modeled_time`] then reduces the per-thread
+//! meters to the modeled parallel running time (the maximum over workers,
+//! since barriers make each phase as slow as its slowest worker).
 //!
 //! On the paper's 14-way Sun E4500 wall-clock time shows real speedup; on a
 //! host with fewer physical cores, wall clock measures oversubscription

@@ -5,14 +5,12 @@
 //! the SIMPLE methodology (Bader & JáJá 1999) and from Helman & JáJá's SMP
 //! algorithm-engineering work:
 //!
-//! * [`team`] — an SPMD thread team with reusable barriers, the execution
-//!   model every per-processor algorithm in the paper is written against.
 //! * [`pool`] — the persistent work-stealing execution backend (re-export
 //!   of the `msf-pool` crate): process-global stealing workers with
-//!   chase-lev-style deques behind `join` and the two data-parallel loops
-//!   every kernel uses (`map_collect`, `map_mut`), leasable team threads
-//!   behind [`team::SmpTeam`], sense-reversing barriers, and the
-//!   `MSF_SEQUENTIAL` escape hatch.
+//!   chase-lev-style deques behind `join` and the data-parallel loops every
+//!   kernel uses (`map_collect`, `map_mut`, `fill_regions`), and the
+//!   `MSF_SEQUENTIAL` escape hatch. The paper's per-processor steps ("for
+//!   processor p_i") are `map_collect(p, 1, …)` tasks on it.
 //! * [`prefix`] — the sequential exclusive scan and parallel compaction.
 //! * [`csr`] — compressed sparse rows by a `p`-block counting sort, the
 //!   shared builder of every adjacency and grouping laid out in parallel.
@@ -41,7 +39,7 @@
 //!   physical cores than the paper's testbed.
 //! * [`obs`] — the observability subsystem (re-export of the `msf-obs`
 //!   crate): per-thread lock-free event rings, span tracing over the
-//!   Borůvka step loops and team lifecycles, and chrome-trace export,
+//!   Borůvka step loops and MST-BC's growers, and chrome-trace export,
 //!   gated by `MSF_TRACE` (see DESIGN.md §11).
 
 #![forbid(unsafe_code)]
@@ -61,7 +59,6 @@ pub mod permutation;
 pub mod prefix;
 pub mod sort;
 pub mod steal;
-pub mod team;
 pub mod unionfind;
 
 /// Decide how many items of `n` a chunk owned by thread `t` of `p` receives,

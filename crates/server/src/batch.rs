@@ -1,14 +1,13 @@
 //! The small-job epoch batcher.
 //!
 //! Small requests (under the admission gate's large-job threshold) are not
-//! worth a per-request team lease: the lease handshake and cache warm-up
-//! dominate the actual Borůvka work. Instead, all small jobs funnel into
-//! one executor thread that drains its queue in *epochs* — it blocks for
-//! the first job, then greedily drains everything already queued and runs
-//! the batch back-to-back. Consecutive jobs in an epoch reuse the shared
-//! pool's already-woken workers (the lazy team lease stays warm between
-//! `run_team` calls on one thread), so a burst of N small computes pays
-//! roughly one wake-up, not N.
+//! worth a thread of their own contending for the pool: waking workers and
+//! warming caches dominate the actual Borůvka work. Instead, all small jobs
+//! funnel into one executor thread that drains its queue in *epochs* — it
+//! blocks for the first job, then greedily drains everything already
+//! queued and runs the batch back-to-back. Consecutive jobs in an epoch
+//! reuse the shared pool's already-woken workers, so a burst of N small
+//! computes pays roughly one wake-up, not N.
 //!
 //! Jobs are opaque closures; each handler thread submits a closure that
 //! sends its result back over a private channel, so ordering across

@@ -394,7 +394,6 @@ fn profile_op_round_trips_and_slow_requests_are_counted() {
                     "connect-components",
                     "compact-graph",
                     "base-case",
-                    "team-run",
                     "rank",
                     "filter",
                     "serve",

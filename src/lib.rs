@@ -5,8 +5,8 @@
 //! (IPPS 2004). It re-exports the three library crates so examples and
 //! downstream users can depend on a single name:
 //!
-//! * [`primitives`] — SPMD team, parallel sample sort, prefix sums,
-//!   connected components, heaps, union–find, arenas, work stealing.
+//! * [`primitives`] — the work-stealing pool, parallel sample sort, prefix
+//!   sums, connected components, heaps, union–find, arenas, work stealing.
 //! * [`graph`] — edge-list / adjacency-array / flexible-adjacency-list graph
 //!   representations, the paper's generator suite, and DIMACS-style I/O.
 //! * [`core`] — the eight MSF algorithms (Prim, Kruskal, sequential Borůvka,

@@ -26,8 +26,8 @@ fn reset_then_snapshot_gives_absolute_counters() {
     let g = mesh2d(&GeneratorConfig::with_seed(7), 30, 30);
     let cfg = MsfConfig::with_threads(4);
 
-    // Warm up: start the stealing workers and the team-thread cache. How
-    // much telemetry this run generates is history we don't care about.
+    // Warm up: start the stealing workers. How much telemetry this run
+    // generates is history we don't care about.
     let warm = minimum_spanning_forest(&g, Algorithm::BorFal, &cfg);
 
     // Quiescent now (single test, single binary): zero everything and
@@ -37,8 +37,6 @@ fn reset_then_snapshot_gives_absolute_counters() {
     assert_eq!(zero.width, width);
     assert_eq!(zero.injector_pushes, 0);
     assert_eq!(zero.injector_pops, 0);
-    assert_eq!(zero.team_leases, 0);
-    assert_eq!(zero.team_threads_spawned, 0);
     assert_eq!(zero.steal_hits() + zero.steal_misses() + zero.parks(), 0);
 
     // One run's pool traffic, measured absolutely — no before/after deltas.
@@ -46,16 +44,19 @@ fn reset_then_snapshot_gives_absolute_counters() {
     assert_eq!(run.edges, warm.edges, "workload must be deterministic");
     let stats = msf_pool::pool_stats();
     assert!(
-        stats.injector_pushes + stats.team_leases > 0,
-        "a p=4 run must move pool traffic, found none after reset"
+        stats.injector_pushes > 0,
+        "a p=4 run must inject work from the calling thread, found none after reset"
     );
-    // Leases re-draw from the warm cache; spawns may still race (a thread
-    // re-idles only after the run's latch fires), so only leases are exact.
-    assert_eq!(
-        stats.team_leases % 3,
-        0,
-        "every team run leases exactly p-1 = 3 ranks, so the total is a multiple"
-    );
+    // Every injected job is claimed by a worker or reclaimed by its
+    // submitter, never both.
+    assert!(stats.injector_pops <= stats.injector_pushes);
+
+    // One join from outside the pool injects exactly its `b` half.
+    msf_pool::reset_telemetry_for_test();
+    assert_eq!(msf_pool::join(|| 1u32, || 2u32), (1, 2));
+    let stats = msf_pool::pool_stats();
+    assert_eq!(stats.injector_pushes, 1);
+    assert!(stats.injector_pops <= 1);
 }
 
 #[test]

@@ -29,7 +29,6 @@ const KNOWN_FRAMES: &[&str] = &[
     "connect-components",
     "compact-graph",
     "base-case",
-    "team-run",
     "rank",
     "filter",
     "serve",
@@ -141,7 +140,7 @@ fn run_span_attribution_holds_in_every_execution_mode() {
         let root = stack.split(';').next().expect("non-empty stack");
         assert!(
             // Pool workers root at whatever span the stolen task opened
-            // (team-run ranks at `rank`, parallel loops inside a phase at
+            // (MST-BC growers at `rank`, parallel loops inside a phase at
             // that phase) — but the driving thread always roots at `run`.
             KNOWN_FRAMES.contains(&root),
             "unknown root frame {root:?} in {line:?}"

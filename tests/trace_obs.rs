@@ -14,6 +14,7 @@
 //! so every test here serializes on one mutex and drains the rings before
 //! and after its run.
 
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use msf_bench::json::Json;
@@ -200,19 +201,56 @@ fn bor_fal_setup_is_one_span_before_the_first_iteration() {
     assert!(r.stats.modeled_cost > setup_end.a);
 }
 
+/// The threads that ran MST-BC's growers, and the thread of the run span.
+fn grower_threads(trace: &obs::Trace) -> (BTreeSet<u32>, u32) {
+    let tids = |kind| {
+        trace
+            .events
+            .iter()
+            .filter(move |e| e.span_kind() == Some(kind) && e.phase == Phase::End)
+            .map(|e| e.tid)
+    };
+    let caller = tids(SpanKind::Run).next().expect("one run span");
+    (tids(SpanKind::Rank).collect(), caller)
+}
+
 #[test]
-fn mst_bc_records_team_and_rank_lifecycles() {
+fn mst_bc_records_one_rank_span_per_grower() {
     let _l = lock();
-    let g = mesh();
-    let (trace, _) = traced_run(&g, Algorithm::MstBc, 4);
+    // Large enough that a round's growers outlast a worker's wake-up.
+    let g = mesh2d(&GeneratorConfig::with_seed(11), 120, 120);
+    // Each round runs p = 4 growers, one pool task and one `rank` span each.
+    let (trace, r) = traced_run(&g, Algorithm::MstBc, 4);
     trace.validate_nesting().expect("nesting");
-    assert!(trace.count(SpanKind::TeamRun, Phase::End) >= 1);
-    // Every team run of width 4 contributes 4 rank spans.
-    assert!(trace.count(SpanKind::Rank, Phase::End) >= 4);
-    // Rank spans land on the executing threads; at least rank 0 runs inline
-    // on the caller, the rest on leased team threads — so the trace spans
-    // more than one thread.
-    assert!(trace.threads.len() > 1, "team ranks must appear per-thread");
+    let iterations = r.stats.iterations.len();
+    assert!(
+        iterations >= 1,
+        "the mesh must take at least one grow round"
+    );
+    assert_eq!(trace.count(SpanKind::Rank, Phase::End), 4 * iterations);
+    let (threads, caller) = grower_threads(&trace);
+    if msf_pool::runs_inline() {
+        assert_eq!(threads, BTreeSet::from([caller]));
+    } else {
+        assert!(
+            threads.len() > 1,
+            "growers on the width-4 pool must run on more than one thread"
+        );
+    }
+    // Under the escape hatch the growers run in rank order on the calling
+    // thread: no pool worker and no thread of their own.
+    let (trace, r) = msf_pool::with_sequential(|| traced_run(&g, Algorithm::MstBc, 4));
+    trace.validate_nesting().expect("nesting");
+    assert_eq!(
+        trace.count(SpanKind::Rank, Phase::End),
+        4 * r.stats.iterations.len()
+    );
+    let (threads, caller) = grower_threads(&trace);
+    assert_eq!(
+        threads,
+        BTreeSet::from([caller]),
+        "under the escape hatch every grower runs on the calling thread"
+    );
 }
 
 #[test]

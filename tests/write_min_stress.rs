@@ -16,11 +16,11 @@
 //!   lose a CAS (the scheduler may never preempt inside the read-CAS
 //!   window, especially on few-core hosts), so the tests rerun the workload
 //!   until a retry shows up, bounded by a generous cap.
-//! * **The escape hatch stays exact.** Under `MSF_SEQUENTIAL` `SmpTeam`
-//!   ranks still run as scoped threads, so the primitives keep their CAS
-//!   paths and the racing tests assert the same exact answers. The
-//!   algorithms whose races run in the pool's loops run them on one thread
-//!   there, and record exactly zero CAS retries.
+//! * **The escape hatch stays exact.** The racers here are scoped threads
+//!   this file spawns, so they still race under `MSF_SEQUENTIAL`: the
+//!   primitives keep their CAS paths and the racing tests assert the same
+//!   exact answers. The algorithms whose races run in the pool's loops run
+//!   them on one thread there, and record exactly zero CAS retries.
 //!
 //! The metrics registry is process-global, so every test serializes on one
 //! mutex and resets the registry before measuring.
@@ -30,7 +30,6 @@ use std::sync::Mutex;
 use msf_primitives::atomic::{packed_edge_key, MinSlots, EMPTY};
 use msf_primitives::connectivity::concurrent::ConcurrentUnionFind;
 use msf_primitives::obs;
-use msf_primitives::team::SmpTeam;
 use msf_primitives::unionfind::UnionFind;
 
 static METRICS_LOCK: Mutex<()> = Mutex::new(());
@@ -40,6 +39,18 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 const P: usize = 8;
+
+/// Run `f(rank)` for every rank in `0..P`, each on a scoped thread of its
+/// own, and return once all have finished. The racers are spawned here,
+/// not taken from the pool, so they race under `MSF_SEQUENTIAL=1` too.
+fn race(f: impl Fn(usize) + Sync) {
+    std::thread::scope(|scope| {
+        for rank in 0..P {
+            let f = &f;
+            scope.spawn(move || f(rank));
+        }
+    });
+}
 
 /// Read a registry counter, treating "never registered" as zero (lazy
 /// counters only register on their first enabled increment).
@@ -60,13 +71,13 @@ fn xorshift(mut x: u64) -> u64 {
     x
 }
 
-/// One round of the slot race: `P` ranks hammer one shared slot with the
+/// One round of the slot race: `P` racers hammer one shared slot with the
 /// same strictly descending value sequence, so whenever a rank is preempted
 /// between its read and its CAS the slot moves underneath it. Returns the
 /// quiescent slot value.
 fn race_one_slot(iters: u64) -> u64 {
     let slots = MinSlots::new(1);
-    SmpTeam::new(P).run(|_ctx| {
+    race(|_| {
         for i in 0..iters {
             // BASE - i: every rank walks the same descending ramp.
             slots.write_min(0, u64::MAX - 1 - i);
@@ -86,8 +97,8 @@ fn racing_write_min_converges_to_the_sequential_min() {
     const SLOTS: usize = 64;
     const ITERS: usize = 20_000;
     let slots = MinSlots::new(SLOTS);
-    SmpTeam::new(P).run(|ctx| {
-        let mut x = 0x9E3779B97F4A7C15u64.wrapping_mul(ctx.rank as u64 + 1);
+    race(|rank| {
+        let mut x = 0x9E3779B97F4A7C15u64.wrapping_mul(rank as u64 + 1);
         for _ in 0..ITERS {
             x = xorshift(x);
             let slot = (x >> 32) as usize % SLOTS;
@@ -141,8 +152,8 @@ fn racing_filtered_write_min_matches_the_sequential_minimum() {
     }
     for round in 0..4 {
         let slots = MinSlots::new(SLOTS);
-        SmpTeam::new(P).run(|ctx| {
-            for (slot, v) in stream(ctx.rank) {
+        race(|rank| {
+            for (slot, v) in stream(rank) {
                 slots.write_min_by(slot, v, key);
             }
         });
@@ -159,7 +170,7 @@ fn contended_write_min_reports_cas_retries() {
     obs::metrics::reset_for_test();
 
     if msf_pool::sequential_env() {
-        // MSF_SEQUENTIAL=1: the ranks are scoped threads racing the shared
+        // MSF_SEQUENTIAL=1: the racers are scoped threads racing the shared
         // store, so only the answer is asserted, not the retry count.
         assert_eq!(race_one_slot(100_000), u64::MAX - 100_000);
         obs::metrics::set_enabled(false);
@@ -224,9 +235,9 @@ fn sequential_escape_hatch_records_zero_retries() {
 /// hooked tags form a spanning forest of the united pairs.
 fn race_union_find(n: u32, pairs: &[(u32, u32)]) {
     let uf = ConcurrentUnionFind::new(n as usize);
-    SmpTeam::new(P).run(|ctx| {
-        // Block-partition the pair list over the ranks.
-        let r = msf_primitives::block_range(pairs.len(), ctx.p, ctx.rank);
+    race(|rank| {
+        // Block-partition the pair list over the racers.
+        let r = msf_primitives::block_range(pairs.len(), P, rank);
         for i in r {
             let (u, v) = pairs[i];
             uf.unite(u, v, i as u32);
@@ -287,7 +298,7 @@ fn racing_union_find_matches_sequential() {
 /// contending at the frontier for the whole round, single core or not.
 fn race_star(n: u32) {
     let uf = ConcurrentUnionFind::new(n as usize);
-    SmpTeam::new(P).run(|_ctx| {
+    race(|_| {
         for v in 1..n {
             uf.unite(0, v, v - 1);
         }
@@ -339,11 +350,11 @@ fn fk_filter_queries_race_path_halving() {
         .map(|&(u, v)| seq.find(u as usize) == seq.find(v as usize))
         .collect();
     for _ in 0..8 {
-        SmpTeam::new(P).run(|ctx| {
-            // Every rank sweeps the whole probe list (not a block split):
-            // maximal overlap means maximal racing between the ranks'
+        race(|rank| {
+            // Every racer sweeps the whole probe list (not a block split):
+            // maximal overlap means maximal racing between the racers'
             // path-halving stores.
-            let mut order = ctx.rank;
+            let mut order = rank;
             for _ in 0..probes.len() {
                 order = (order + 7) % probes.len();
                 let (u, v) = probes[order];
@@ -391,10 +402,12 @@ fn filter_kruskal_is_deterministic_under_the_stress_pool() {
 /// MST-BC's colour race on the stress pool: eight growers claim vertices
 /// through CAS-once colours on a hub-heavy power-law graph, with the random
 /// start permutation and work stealing on, so frontiers meet constantly.
-/// However the claims interleave, every forest must be Kruskal's. The race
-/// must also have happened: some tree stopped at a foreign colour. The
-/// ranks are real threads even under `MSF_SEQUENTIAL=1`, where the team
-/// runs on scoped threads instead of the pool.
+/// However the claims interleave, every forest must be Kruskal's, in every
+/// mode. The growers are pool tasks, so only a pool that runs them on
+/// workers can race them; there some tree must have stopped at a foreign
+/// colour. Under `MSF_SEQUENTIAL=1` they run one after another on the
+/// calling thread, and a stop there proves no race, so the count is not
+/// asserted.
 #[test]
 fn mst_bc_colour_race_collides_and_stays_exact() {
     let _l = lock();
@@ -424,10 +437,12 @@ fn mst_bc_colour_race_collides_and_stays_exact() {
         let st = r.stats.mstbc.expect("MST-BC populates its counters");
         raced += st.collisions + st.matured;
     }
-    assert!(
-        raced > 0,
-        "50 MST-BC runs at p={P} never stopped a tree at a foreign colour"
-    );
+    if !msf_pool::runs_inline() {
+        assert!(
+            raced > 0,
+            "50 MST-BC runs at p={P} never stopped a tree at a foreign colour"
+        );
+    }
 }
 
 #[test]
@@ -438,7 +453,7 @@ fn contended_hooking_reports_cas_retries() {
 
     const N: u32 = 200_000;
     if msf_pool::sequential_env() {
-        // MSF_SEQUENTIAL=1: the ranks are scoped threads racing the CAS
+        // MSF_SEQUENTIAL=1: the racers are scoped threads racing the CAS
         // hooks, so only the answer is asserted, not the retry count.
         race_star(N);
         obs::metrics::set_enabled(false);
