@@ -1465,36 +1465,37 @@ fn regress_cmd(args: &[String]) {
 fn info(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
     let mut lines = Vec::new();
-    if binfmt::is_binary_file(path.as_str()).unwrap_or(false) {
-        match binfmt::BinGraph::open(path.as_str()) {
-            Ok(bin) => {
-                lines.push(format!("format:      msfb binary v{}", binfmt::VERSION));
-                lines.push(format!(
-                    "ids:         {}",
-                    if bin.wide() { "u64" } else { "u32" }
-                ));
-                lines.push(format!(
-                    "sorted:      {}",
-                    if bin.header().weight_sorted() {
-                        "by weight"
-                    } else {
-                        "no"
-                    }
-                ));
-                lines.push(format!(
-                    "backing:     {}",
-                    if bin.is_mmap() { "mmap" } else { "heap" }
-                ));
-            }
-            Err(e) => {
-                eprintln!("cannot open {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    let g = if binfmt::is_binary_file(path.as_str()).unwrap_or(false) {
+        // Open (and so validate) the file once: the header lines and the
+        // edge list both come from this one `BinGraph`.
+        let parsed = binfmt::BinGraph::open(path.as_str()).and_then(|bin| {
+            lines.push(format!("format:      msfb binary v{}", binfmt::VERSION));
+            lines.push(format!(
+                "ids:         {}",
+                if bin.wide() { "u64" } else { "u32" }
+            ));
+            lines.push(format!(
+                "sorted:      {}",
+                if bin.header().weight_sorted() {
+                    "by weight"
+                } else {
+                    "no"
+                }
+            ));
+            lines.push(format!(
+                "backing:     {}",
+                if bin.is_mmap() { "mmap" } else { "heap" }
+            ));
+            bin.to_edge_list()
+        });
+        parsed.unwrap_or_else(|e| {
+            eprintln!("cannot parse {path}: {e}");
+            std::process::exit(2);
+        })
     } else {
         lines.push("format:      dimacs text".to_string());
-    }
-    let g = load(path);
+        load(path)
+    };
     lines.push(format!("file:        {path}"));
     lines.push(format!("vertices:    {}", g.num_vertices()));
     lines.push(format!("edges:       {}", g.num_edges()));

@@ -139,3 +139,37 @@ fn info_into_a_closed_pipe_exits_0_quietly() {
         "msf info into a closed pipe wrote:\n{stderr}"
     );
 }
+
+/// A `.msfb` file whose bytes were damaged after it was written fails its
+/// checksum: every subcommand that reads it must say so and exit 2, `info`
+/// included.
+#[test]
+fn corrupt_msfb_is_a_clean_exit_2() {
+    let dir = std::env::temp_dir().join(format!("msf-cli-corrupt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("g.msfb");
+    let p = path.to_str().expect("utf-8 path");
+    let generated = msf()
+        .args([
+            "generate", "random", "500", "2000", "--seed", "7", "--out", p,
+        ])
+        .output()
+        .expect("spawn the msf binary");
+    assert!(
+        generated.status.success(),
+        "msf generate failed: {generated:?}"
+    );
+    for sub in ["compute", "certify", "info"] {
+        assert_eq!(run(sub, p).0, 0, "msf {sub} on the intact file");
+    }
+    let mut bytes = std::fs::read(&path).expect("read the .msfb file");
+    assert!(bytes.len() > 204, "file of {} bytes", bytes.len());
+    for b in &mut bytes[200..204] {
+        *b = !*b;
+    }
+    std::fs::write(&path, &bytes).expect("write the damaged file");
+    for sub in ["compute", "certify", "info"] {
+        assert_clean_exit2(sub, p);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

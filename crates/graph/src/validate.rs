@@ -38,11 +38,6 @@ pub fn component_count(g: &EdgeList) -> usize {
     uf.set_count()
 }
 
-/// True when the graph is connected (vacuously true for n ≤ 1).
-pub fn is_connected(g: &EdgeList) -> bool {
-    component_count(g) <= 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,15 +58,14 @@ mod tests {
     fn counts_components() {
         let g = EdgeList::from_triples(5, vec![(0, 1, 1.0), (2, 3, 1.0)]);
         assert_eq!(component_count(&g), 3);
-        assert!(!is_connected(&g));
         let t = EdgeList::from_triples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        assert!(is_connected(&t));
+        assert_eq!(component_count(&t), 1);
     }
 
     #[test]
     fn empty_graphs() {
         let g = EdgeList::from_triples(0, vec![]);
         assert!(check_simple(&g).is_ok());
-        assert!(is_connected(&g));
+        assert_eq!(component_count(&g), 0);
     }
 }

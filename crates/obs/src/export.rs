@@ -136,17 +136,6 @@ impl Trace {
         Ok(())
     }
 
-    /// Per-kind `(completed span count, total wall nanoseconds)` from
-    /// matched Begin/End pairs. Nested spans of the same kind are summed
-    /// individually (so self-time is double counted — this is a span
-    /// census, not a flame graph).
-    pub fn span_durations(&self) -> HashMap<u16, (usize, u64)> {
-        self.span_duration_lists()
-            .into_iter()
-            .map(|(kind, list)| (kind, (list.len(), list.iter().sum())))
-            .collect()
-    }
-
     /// Per-kind list of individual span wall durations (nanoseconds, in
     /// completion order) from matched Begin/End pairs — the raw material
     /// for the percentile columns in [`Trace::summary`].
@@ -363,9 +352,9 @@ mod tests {
         ]);
         t.validate_nesting().unwrap();
         assert_eq!(t.sum_end_args(SpanKind::FindMin), (5, 6));
-        let d = t.span_durations();
-        assert_eq!(d[&(SpanKind::FindMin as u16)], (1, 8));
-        assert_eq!(d[&(SpanKind::Run as u16)], (1, 20));
+        let d = t.span_duration_lists();
+        assert_eq!(d[&(SpanKind::FindMin as u16)], vec![8]);
+        assert_eq!(d[&(SpanKind::Run as u16)], vec![20]);
     }
 
     #[test]

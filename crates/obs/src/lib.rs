@@ -22,7 +22,7 @@
 //!
 //! Gating: tracing starts disabled. The first call to [`enabled`] (or an
 //! explicit [`init_from_env`]) consults the `MSF_TRACE` environment variable
-//! (`1`/`true`/`on` enable); [`set_enabled`] and [`configure`] override it
+//! (`1`/`true`/`on` enable); [`set_enabled`] overrides it
 //! programmatically. Ring capacity is `MSF_TRACE_CAP` events per thread
 //! (default 16384), frozen once the first ring is allocated.
 
@@ -182,8 +182,8 @@ pub fn enabled() -> bool {
 }
 
 /// Resolve the enable state from the environment (`MSF_TRACE`, with
-/// `MSF_TRACE_CAP` for ring capacity) unless [`set_enabled`] or
-/// [`configure`] already decided it. Returns the resulting state.
+/// `MSF_TRACE_CAP` for ring capacity) unless [`set_enabled`] already
+/// decided it. Returns the resulting state.
 #[cold]
 pub fn init_from_env() -> bool {
     if STATE.load(Ordering::Relaxed) == STATE_UNKNOWN {
@@ -239,13 +239,6 @@ impl ObsConfig {
             ring_capacity,
         }
     }
-}
-
-/// Apply an [`ObsConfig`]: sets the ring capacity (if no ring exists yet)
-/// and the enable state.
-pub fn configure(cfg: &ObsConfig) {
-    ring::set_default_capacity(cfg.ring_capacity);
-    set_enabled(cfg.enabled);
 }
 
 fn epoch() -> Instant {

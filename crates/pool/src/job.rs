@@ -1,9 +1,9 @@
 //! Type-erased job references and stack-allocated fork-join jobs.
 //!
-//! A [`JobRef`] is the unit the deques and the injector move around: a thin
+//! A [`JobRef`] is the unit the job queues move around: a thin
 //! `(data, exec)` pair pointing at a job object that lives on the stack of
 //! the thread that created it. The creating thread never returns past the
-//! job's lifetime: it either pops the job back and runs it inline, or blocks
+//! job's lifetime: it either takes the job back and runs it inline, or blocks
 //! on the job's latch until the thief that stole it has finished executing.
 
 use std::cell::UnsafeCell;
@@ -34,24 +34,6 @@ impl JobRef {
         self.data as usize
     }
 
-    /// Reassemble from the two words a deque slot stores.
-    ///
-    /// # Safety
-    /// The words must have been produced by [`JobRef::into_raw`] of a live,
-    /// not-yet-executed job.
-    pub(crate) unsafe fn from_raw(data: usize, exec: usize) -> JobRef {
-        JobRef {
-            data: data as *const (),
-            // SAFETY: `exec` was a fn pointer cast to usize by into_raw.
-            exec: unsafe { std::mem::transmute::<usize, unsafe fn(*const ())>(exec) },
-        }
-    }
-
-    /// Decompose into two plain words for a deque slot.
-    pub(crate) fn into_raw(self) -> (usize, usize) {
-        (self.data as usize, self.exec as usize)
-    }
-
     /// Run the job.
     ///
     /// # Safety
@@ -71,9 +53,9 @@ pub(crate) struct StackJob<F, R> {
 }
 
 // SAFETY: the fork-join protocol makes all UnsafeCell accesses exclusive:
-// the executing thread (forker or thief, never both — deque claims are
-// linearizable) writes func/result, and the forker reads the result only
-// after the latch's release/acquire edge.
+// the executing thread (forker or thief, never both — a queue hands each
+// job out once, under its lock) writes func/result, and the forker reads
+// the result only after the latch's release/acquire edge.
 unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
 
 impl<F, R> StackJob<F, R>
@@ -104,7 +86,7 @@ where
     /// `ptr` must point at a live `StackJob` whose closure has not been
     /// taken, and no other thread may be executing it.
     unsafe fn execute_erased(ptr: *const ()) {
-        // SAFETY: contract above; the deque hands out each JobRef once.
+        // SAFETY: contract above; a queue hands out each JobRef once.
         let this = unsafe { &*(ptr as *const Self) };
         // SAFETY: exclusive access per the execute-once discipline.
         let func = unsafe { &mut *this.func.get() }
@@ -116,10 +98,10 @@ where
         this.latch.set();
     }
 
-    /// Run the closure inline on the forking thread (after popping the job
-    /// back unstolen). Panics propagate directly.
+    /// Run the closure inline on the forking thread (after taking the job
+    /// back unclaimed). Panics propagate directly.
     pub(crate) fn run_inline(&self) -> R {
-        // SAFETY: the job was popped back, so no thief holds a reference.
+        // SAFETY: the job was taken back, so no thief holds a reference.
         let func = unsafe { &mut *self.func.get() }
             .take()
             .expect("fork-join job executed twice");

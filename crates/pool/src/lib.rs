@@ -4,11 +4,12 @@
 //! The pool is **lazily initialized** (first `join`/width query builds it),
 //! **process-global** (one registry, leaked for `'static`), and
 //! **persistent** (workers live for the process). Its stealing workers run
-//! fork-join jobs from per-worker chase-lev-style deques (packed-CAS
-//! cursors, the `steal.rs` idiom) plus an injector for external
-//! submissions. These power [`join`] and the data-parallel loops built on
-//! it: [`map_collect`] (the `p`-block par-for and the par map-collect over
-//! an index domain), [`map_mut`] (one task per per-block state) and
+//! fork-join jobs from job queues of one type, a mutex-guarded `VecDeque`:
+//! one per worker (the owner works LIFO at the back, thieves take FIFO from
+//! the front) plus an injector for forks from threads outside the pool.
+//! These power [`join`] and the data-parallel loops built on it:
+//! [`map_collect`] (the `p`-block par-for and the par map-collect over an
+//! index domain), [`map_mut`] (one task per per-block state) and
 //! [`fill_regions`] (vectors built from per-block regions of known length,
 //! each block writing its own). Every "for processor p_i" step of the
 //! paper, MST-BC's concurrent Prim growers included, is one of these loops.
@@ -28,10 +29,10 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod deque;
 mod job;
 mod latch;
 mod loops;
+mod queue;
 mod registry;
 mod telemetry;
 
@@ -42,14 +43,14 @@ pub use loops::{fill_regions, map_collect, map_mut, Sink};
 pub use telemetry::{publish_metrics, PoolStats, PoolWorkerStats};
 
 /// A monotone snapshot of the pool's lifetime telemetry counters (steals,
-/// injector traffic, parks/wakes, deque overflows). Never starts the pool:
+/// injector traffic, parks/wakes). Never starts the pool:
 /// before first use all counters are zero and `width` is 0.
 pub fn pool_stats() -> PoolStats {
     registry::stats_snapshot()
 }
 
 /// Zero the pool's lifetime telemetry counters (steals, injector traffic,
-/// parks/wakes, overflows), so a test can assert on the deltas of *its own*
+/// parks/wakes), so a test can assert on the deltas of *its own*
 /// work rather than on whatever ran earlier in the process. **Test
 /// isolation only**: counters are normally monotone for the process
 /// lifetime, and racing workers may be mid-increment — call this only at
@@ -158,7 +159,7 @@ where
         let rb = b();
         return (ra, rb);
     }
-    registry::join(a, b)
+    registry::global().join(registry::current_worker(), a, b)
 }
 
 /// True when `join`, `map_collect` and `map_mut` run everything inline on
@@ -172,8 +173,9 @@ pub fn runs_inline() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// Tests share a process: pin the width before any pool touch so every
     /// test sees real concurrency even on a 1-core host.
@@ -208,6 +210,54 @@ mod tests {
             assert_eq!(calls.load(Ordering::SeqCst), 2);
             // fetch_add returns the prior count: one side saw 0, the other 1.
             assert_eq!(ra + rb, 1);
+        }
+    }
+
+    /// A join tree rooted on one pool worker: its forks land on that
+    /// worker's own queue, so any other worker that runs a leaf stole it
+    /// from there.
+    #[test]
+    fn worker_forks_are_stolen_and_run_exactly_once() {
+        pool_width_4();
+        fn tree(leaves: &[AtomicUsize]) {
+            if let [leaf] = leaves {
+                // Spin briefly, so idle workers find forks pending.
+                (0..2_000u64).for_each(|i| _ = std::hint::black_box(i));
+                leaf.fetch_add(1, Ordering::SeqCst);
+                return;
+            }
+            let (lo, hi) = leaves.split_at(leaves.len() / 2);
+            join(|| tree(lo), || tree(hi));
+        }
+        let before = pool_stats().steal_hits();
+        // A thief needs a core, and other tests' threads may hold the
+        // host's few: after eight rounds, repeat until some worker stole.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for round in 1.. {
+            let leaves: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
+            if runs_inline() {
+                tree(&leaves);
+            } else {
+                // This thread is not a worker, so `join` hands `b` to the
+                // injector; `a` holds on until a worker has claimed it.
+                let rooted = AtomicBool::new(false);
+                let wait = || {
+                    while !rooted.load(Ordering::SeqCst) {
+                        std::hint::spin_loop()
+                    }
+                };
+                join(wait, || {
+                    assert!(registry::current_worker().is_some());
+                    rooted.store(true, Ordering::SeqCst);
+                    tree(&leaves);
+                });
+            }
+            let once = leaves.iter().all(|l| l.load(Ordering::SeqCst) == 1);
+            assert!(once, "round {round}: a leaf ran twice or never");
+            if round >= 8 && (runs_inline() || pool_stats().steal_hits() > before) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no steal in {round} rounds");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Always-on pool telemetry: relaxed monotone counters on the registry's
-//! rare paths (steal probes, injector traffic, sleep/wake, deque overflow),
-//! snapshotted as a [`PoolStats`].
+//! rare paths (steal probes, injector traffic, sleep/wake), snapshotted as
+//! a [`PoolStats`].
 //!
 //! Counters are deliberately *not* gated by `MSF_TRACE`: every increment
-//! sits on a path that already paid a CAS, a mutex, or a condvar, so a
+//! sits on a path that already paid a probe, a mutex, or a condvar, so a
 //! relaxed `fetch_add` is noise there. The hot local push/pop fast path has
 //! no counter at all.
 
@@ -76,7 +76,6 @@ pub(crate) struct RegistryCounters {
     pub(crate) injector_pushes: Counter,
     pub(crate) injector_pops: Counter,
     pub(crate) wakes: Counter,
-    pub(crate) overflows: Counter,
 }
 
 impl RegistryCounters {
@@ -86,7 +85,6 @@ impl RegistryCounters {
             injector_pushes: Counter::default(),
             injector_pops: Counter::default(),
             wakes: Counter::default(),
-            overflows: Counter::default(),
         }
     }
 
@@ -105,7 +103,6 @@ impl RegistryCounters {
             injector_pushes: self.injector_pushes.get(),
             injector_pops: self.injector_pops.get(),
             wakes: self.wakes.get(),
-            deque_overflows: self.overflows.get(),
         }
     }
 
@@ -120,16 +117,15 @@ impl RegistryCounters {
         self.injector_pushes.reset();
         self.injector_pops.reset();
         self.wakes.reset();
-        self.overflows.reset();
     }
 }
 
 /// Per-worker slice of a [`PoolStats`] snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolWorkerStats {
-    /// Successful steals from another worker's deque.
+    /// Successful steals from another worker's queue.
     pub steal_hits: u64,
-    /// Steal probes that found the victim's deque empty or contended.
+    /// Steal probes that found the victim's queue empty.
     pub steal_misses: u64,
     /// Times this worker entered the condvar sleep protocol.
     pub parks: u64,
@@ -152,17 +148,15 @@ pub struct PoolStats {
     /// `notify_all` wakeups actually issued (publishers skip the condvar
     /// while no worker sleeps).
     pub wakes: u64,
-    /// Fork attempts that found the worker's deque full and ran inline.
-    pub deque_overflows: u64,
 }
 
 /// Totals already pushed into the metrics registry, so republishing adds
 /// only the delta (registry counters are add-only; pool counters are
 /// monotone).
-static PUBLISHED: std::sync::Mutex<[u64; 7]> = std::sync::Mutex::new([0; 7]);
+static PUBLISHED: std::sync::Mutex<[u64; 6]> = std::sync::Mutex::new([0; 6]);
 
 /// Sync the pool's lifetime telemetry into the `msf-obs` metrics registry
-/// as the seven `pool.*` counters, making the registry the single source of
+/// as the six `pool.*` counters, making the registry the single source of
 /// truth for every consumer (`msf bench --json`, the daemon's scrape
 /// endpoint). Idempotent and monotone: each call adds only what accrued
 /// since the previous call. No-op while metrics are disabled.
@@ -173,14 +167,13 @@ static PUBLISHED: std::sync::Mutex<[u64; 7]> = std::sync::Mutex::new([0; 7]);
 /// [`crate::reset_telemetry_for_test`] too, which resets both sides).
 pub fn publish_metrics() {
     use msf_obs::metrics::LazyCounter;
-    static COUNTERS: [LazyCounter; 7] = [
+    static COUNTERS: [LazyCounter; 6] = [
         LazyCounter::new("pool.steal_hits"),
         LazyCounter::new("pool.steal_misses"),
         LazyCounter::new("pool.parks"),
         LazyCounter::new("pool.injector_pushes"),
         LazyCounter::new("pool.injector_pops"),
         LazyCounter::new("pool.wakes"),
-        LazyCounter::new("pool.deque_overflows"),
     ];
     if !msf_obs::metrics::enabled() {
         return;
@@ -193,7 +186,6 @@ pub fn publish_metrics() {
         s.injector_pushes,
         s.injector_pops,
         s.wakes,
-        s.deque_overflows,
     ];
     let mut last = PUBLISHED.lock().unwrap_or_else(|e| e.into_inner());
     for ((counter, &cur), prev) in COUNTERS.iter().zip(&now).zip(last.iter_mut()) {
@@ -207,7 +199,7 @@ pub fn publish_metrics() {
 /// Forget the published-totals cache (paired with zeroing the pool's own
 /// counters). Test isolation only.
 pub(crate) fn reset_published_for_test() {
-    *PUBLISHED.lock().unwrap_or_else(|e| e.into_inner()) = [0; 7];
+    *PUBLISHED.lock().unwrap_or_else(|e| e.into_inner()) = [0; 6];
 }
 
 impl PoolStats {
@@ -284,7 +276,6 @@ mod tests {
             "pool.parks",
             "pool.injector_pops",
             "pool.wakes",
-            "pool.deque_overflows",
         ] {
             assert!(snap.counter(name).is_some(), "{name} missing from registry");
         }

@@ -1,4 +1,4 @@
-//! Sequential connected-component references (union–find and BFS).
+//! The sequential connected-component reference (union–find).
 //!
 //! These are the ground truth the parallel kernels are tested against, and
 //! the fallback used when a contracted problem fits one processor.
@@ -15,29 +15,6 @@ pub fn components_union_find(n: usize, edges: impl IntoIterator<Item = (u32, u32
         uf.union(u as usize, v as usize);
     }
     canonical_roots(n, |v| uf.find(v) as u32)
-}
-
-/// Connected components via BFS over an adjacency structure given as a
-/// neighbor closure; used only in tests for an independent second opinion.
-pub fn components_bfs(n: usize, neighbors: impl Fn(usize) -> Vec<usize>) -> Vec<u32> {
-    let mut root = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n {
-        if root[s] != u32::MAX {
-            continue;
-        }
-        root[s] = s as u32;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for w in neighbors(v) {
-                if root[w] == u32::MAX {
-                    root[w] = s as u32;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    root
 }
 
 /// Canonicalize arbitrary representative ids to "minimum vertex in the
@@ -59,26 +36,6 @@ mod tests {
     fn union_find_components_basic() {
         let roots = components_union_find(6, vec![(0, 1), (1, 2), (4, 5)]);
         assert_eq!(roots, vec![0, 0, 0, 3, 4, 4]);
-    }
-
-    #[test]
-    fn bfs_agrees_with_union_find() {
-        let n = 50;
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1)
-            .filter(|&i| i % 7 != 3)
-            .map(|i| (i, i + 1))
-            .collect();
-        let uf = components_union_find(n, edges.iter().copied());
-        let adj = {
-            let mut adj = vec![Vec::new(); n];
-            for &(u, v) in &edges {
-                adj[u as usize].push(v as usize);
-                adj[v as usize].push(u as usize);
-            }
-            adj
-        };
-        let bfs = components_bfs(n, |v| adj[v].clone());
-        assert_eq!(uf, bfs);
     }
 
     #[test]

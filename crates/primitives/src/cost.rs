@@ -99,14 +99,6 @@ impl Stopwatch {
     pub fn seconds(&self) -> f64 {
         self.0.elapsed().as_secs_f64()
     }
-
-    /// Elapsed time, restarting the watch — for chained phase timing.
-    pub fn lap(&mut self) -> f64 {
-        let now = std::time::Instant::now();
-        let dt = now.duration_since(self.0).as_secs_f64();
-        self.0 = now;
-        dt
-    }
 }
 
 #[cfg(test)]
@@ -146,10 +138,10 @@ mod tests {
 
     #[test]
     fn stopwatch_laps_monotonically() {
-        let mut w = Stopwatch::start();
-        let a = w.lap();
+        let w = Stopwatch::start();
+        let a = w.seconds();
         let b = w.seconds();
         assert!(a >= 0.0);
-        assert!(b >= 0.0);
+        assert!(b >= a);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`pool`] — the persistent work-stealing execution backend (re-export
 //!   of the `msf-pool` crate): process-global stealing workers with
-//!   chase-lev-style deques behind `join` and the data-parallel loops every
+//!   mutex-guarded job queues behind `join` and the data-parallel loops every
 //!   kernel uses (`map_collect`, `map_mut`, `fill_regions`), and the
 //!   `MSF_SEQUENTIAL` escape hatch. The paper's per-processor steps ("for
 //!   processor p_i") are `map_collect(p, 1, …)` tasks on it.

@@ -6,7 +6,6 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
 
 use crate::proto::{read_frame, write_frame, Op, Request, Response, FLAG_NO_CACHE, FLAG_PARANOID};
 
@@ -54,14 +53,6 @@ impl Client {
             Conn::Tcp(TcpStream::connect(addr)?)
         };
         Ok(Client { conn })
-    }
-
-    /// Bound how long a single reply may take (`None` = wait forever).
-    pub fn set_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match &self.conn {
-            Conn::Unix(s) => s.set_read_timeout(t),
-            Conn::Tcp(s) => s.set_read_timeout(t),
-        }
     }
 
     /// Send one request and block for its response.

@@ -15,7 +15,8 @@
 //! `(weight, edge id)` total order the round-1 hooks are in the unique MSF
 //! of every algorithm, so a cached round is valid for all of them — the
 //! prefix key exists so a future round-k or algorithm-specific intermediate
-//! can live alongside without invalidating round-1 entries.
+//! can live alongside without invalidating round-1 entries. A cached round
+//! counts against the capacity like the edge list it was computed from.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -56,26 +57,32 @@ pub struct ResidentGraph {
     pub name: String,
     /// The edge list the kernels consume.
     pub graph: EdgeList,
-    /// Estimated resident footprint (edge array + round cache, bytes).
-    bytes: u64,
+    /// Estimated bytes of the edge list.
+    edge_bytes: u64,
     rounds: Mutex<HashMap<String, Arc<BoruvkaRound>>>,
 }
 
 impl ResidentGraph {
     fn new(name: String, graph: EdgeList) -> ResidentGraph {
-        let bytes = estimate_bytes(&graph);
+        let edge_bytes = estimate_bytes(&graph);
         ResidentGraph {
             name,
             graph,
-            bytes,
+            edge_bytes,
             rounds: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Estimated bytes of the edge list alone (the round cache is bounded
-    /// by the same order and accounted against the same capacity).
+    /// Estimated resident bytes: the edge list plus every cached round.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        let rounds: u64 = self
+            .rounds
+            .lock()
+            .unwrap()
+            .values()
+            .map(|r| r.bytes())
+            .sum();
+        self.edge_bytes + rounds
     }
 
     /// The first Borůvka round for `prefix`, computed on miss and cached.
@@ -115,6 +122,9 @@ fn estimate_bytes(g: &EdgeList) -> u64 {
 
 struct Entry {
     graph: Arc<ResidentGraph>,
+    /// What this entry added to `Inner::resident_bytes`, so removing it
+    /// subtracts exactly that.
+    charged: u64,
     last_used: u64,
 }
 
@@ -168,7 +178,7 @@ impl Registry {
         // not stall every other client's registry lookups.
         let graph = load_graph_file(path)?;
         let resident = Arc::new(ResidentGraph::new(name.to_string(), graph));
-        self.insert(name, path, Arc::clone(&resident));
+        self.insert(name, Some(path), Arc::clone(&resident));
         REG_LOADS.inc();
         Ok((resident, true))
     }
@@ -178,24 +188,7 @@ impl Registry {
     /// eviction is final — `get` after evict errors instead of reloading.
     pub fn put(&self, name: &str, graph: EdgeList) -> Arc<ResidentGraph> {
         let resident = Arc::new(ResidentGraph::new(name.to_string(), graph));
-        let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let bytes = resident.bytes();
-        if let Some(old) = inner.resident.insert(
-            name.to_string(),
-            Entry {
-                graph: Arc::clone(&resident),
-                last_used: clock,
-            },
-        ) {
-            inner.resident_bytes -= old.graph.bytes();
-            REG_BYTES.sub(old.graph.bytes());
-        } else {
-            REG_GRAPHS.add(1);
-        }
-        inner.resident_bytes += bytes;
-        REG_BYTES.add(bytes);
+        self.insert(name, None, Arc::clone(&resident));
         REG_LOADS.inc();
         resident
     }
@@ -220,36 +213,61 @@ impl Registry {
         let graph = load_graph_file(&path)
             .map_err(|e| format!("graph '{name}' was evicted and its file is gone: {e}"))?;
         let resident = Arc::new(ResidentGraph::new(name.to_string(), graph));
-        self.insert(name, &path, Arc::clone(&resident));
+        self.insert(name, Some(&path), Arc::clone(&resident));
         REG_RELOADS.inc();
         Ok((resident, true))
     }
 
-    fn insert(&self, name: &str, path: &str, resident: Arc<ResidentGraph>) {
+    fn insert(&self, name: &str, path: Option<&str>, resident: Arc<ResidentGraph>) {
+        let charged = resident.bytes();
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
-        let clock = inner.clock;
-        let bytes = resident.bytes();
-        // A racing load of the same name: keep the incumbent's recency,
-        // replace the graph (last writer wins; both Arcs stay valid).
-        if let Some(old) = inner.resident.insert(
-            name.to_string(),
-            Entry {
-                graph: resident,
-                last_used: clock,
-            },
-        ) {
-            inner.resident_bytes -= old.graph.bytes();
-            REG_BYTES.sub(old.graph.bytes());
-        } else {
-            REG_GRAPHS.add(1);
+        let entry = Entry {
+            graph: resident,
+            charged,
+            last_used: inner.clock,
+        };
+        // A racing load of the same name: replace the graph (last writer
+        // wins; both Arcs stay valid).
+        match inner.resident.insert(name.to_string(), entry) {
+            Some(old) => {
+                inner.resident_bytes -= old.charged;
+                REG_BYTES.sub(old.charged);
+            }
+            None => REG_GRAPHS.add(1),
         }
-        inner.resident_bytes += bytes;
+        inner.resident_bytes += charged;
+        REG_BYTES.add(charged);
+        if let Some(path) = path {
+            inner.paths.insert(name.to_string(), path.to_string());
+        }
+        self.evict_over_capacity(&mut inner);
+    }
+
+    /// Recharge `resident` after a compute that may have cached a round in
+    /// it, evicting least-recently-used graphs if that puts the registry
+    /// over capacity. A graph no longer registered under its name is not
+    /// charged: it leaves memory with its last in-flight job.
+    pub fn charge(&self, resident: &Arc<ResidentGraph>) {
+        let bytes = resident.bytes();
+        let mut inner = self.inner.lock().unwrap();
+        let Some(entry) = inner
+            .resident
+            .get_mut(&resident.name)
+            .filter(|e| Arc::ptr_eq(&e.graph, resident))
+        else {
+            return;
+        };
+        let old = std::mem::replace(&mut entry.charged, bytes);
+        inner.resident_bytes = inner.resident_bytes - old + bytes;
+        REG_BYTES.sub(old);
         REG_BYTES.add(bytes);
-        inner.paths.insert(name.to_string(), path.to_string());
-        // Evict least-recently-used graphs until under capacity. The entry
-        // just inserted is the most recent, so it survives even when it is
-        // alone over the cap.
+        self.evict_over_capacity(&mut inner);
+    }
+
+    /// Evict least-recently-used graphs until under capacity. The most
+    /// recently used entry survives even when it is alone over the cap.
+    fn evict_over_capacity(&self, inner: &mut Inner) {
         while inner.resident_bytes > self.max_bytes && inner.resident.len() > 1 {
             let victim = inner
                 .resident
@@ -257,11 +275,7 @@ impl Registry {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
                 .expect("len > 1");
-            let entry = inner.resident.remove(&victim).expect("present");
-            inner.resident_bytes -= entry.graph.bytes();
-            REG_BYTES.sub(entry.graph.bytes());
-            REG_GRAPHS.sub(1);
-            REG_EVICTIONS.inc();
+            remove(inner, &victim);
         }
     }
 
@@ -269,17 +283,7 @@ impl Registry {
     /// Returns whether it was resident. In-flight jobs holding the `Arc`
     /// are unaffected.
     pub fn evict(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.resident.remove(name) {
-            Some(entry) => {
-                inner.resident_bytes -= entry.graph.bytes();
-                REG_BYTES.sub(entry.graph.bytes());
-                REG_GRAPHS.sub(1);
-                REG_EVICTIONS.inc();
-                true
-            }
-            None => false,
-        }
+        remove(&mut self.inner.lock().unwrap(), name)
     }
 
     /// Residency peek without touching recency: `Some(bytes)` when
@@ -290,7 +294,7 @@ impl Registry {
             .unwrap()
             .resident
             .get(name)
-            .map(|e| e.graph.bytes())
+            .map(|e| e.charged)
     }
 
     /// Graphs currently resident.
@@ -307,6 +311,18 @@ impl Registry {
     pub fn resident_bytes(&self) -> u64 {
         self.inner.lock().unwrap().resident_bytes
     }
+}
+
+/// Remove `name`'s entry and its charge. Returns whether it was resident.
+fn remove(inner: &mut Inner, name: &str) -> bool {
+    let Some(entry) = inner.resident.remove(name) else {
+        return false;
+    };
+    inner.resident_bytes -= entry.charged;
+    REG_BYTES.sub(entry.charged);
+    REG_GRAPHS.sub(1);
+    REG_EVICTIONS.inc();
+    true
 }
 
 #[cfg(test)]

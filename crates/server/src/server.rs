@@ -385,6 +385,10 @@ impl Server {
         };
         let (mut result, round_cache_hit, wall_ns) = outcome;
         COMPUTE_NS.record(wall_ns);
+        if !round_cache_hit && !no_cache {
+            // The round this compute cached counts against the capacity.
+            self.registry.charge(&resident);
+        }
 
         // Test-only fault injection (the `MSF_TEST_SLOW_PHASE_NS` idiom):
         // drop one forest edge so the paranoid certification path has a
@@ -753,6 +757,48 @@ mod tests {
             0,
             "soft errors are not hard failures"
         );
+    }
+
+    /// A round cached by a compute counts against `--registry-bytes`: with a
+    /// cap that fits two edge lists but not a round besides, computing the
+    /// more recent graph evicts the other.
+    #[test]
+    fn cached_round_is_charged_and_evicts_the_lru_graph() {
+        let dir = std::env::temp_dir().join(format!("msf-server-charge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A 6-cycle with chords: its first round leaves edges to contract.
+        let g = msf_graph::EdgeList::from_triples(
+            6,
+            (0..6u32)
+                .map(|i| (i, (i + 1) % 6, f64::from(i)))
+                .chain((0..3u32).map(|i| (i, i + 3, 10.0 + f64::from(i)))),
+        );
+        let [a, b] = ["a.gr", "b.gr"].map(|name| {
+            let path = dir.join(name);
+            msf_graph::io::write_dimacs(&g, std::fs::File::create(&path).unwrap()).unwrap();
+            path.to_str().unwrap().to_string()
+        });
+        let round = msf_core::job::boruvka_round(&g).bytes();
+        let loaded = Registry::new(u64::MAX).put("g", g).bytes();
+        let cap = 2 * loaded + round / 2;
+        let server = Server::new(ServerConfig {
+            registry_bytes: cap,
+            ..ServerConfig::default()
+        });
+        server.registry.load("a", &a).unwrap();
+        server.registry.load("b", &b).unwrap();
+        assert_eq!(server.registry.resident_bytes(), 2 * loaded);
+        let mut req = Request::op(Op::Compute);
+        req.graph = "b".into();
+        assert!(matches!(server.handle(&req), Response::Computed(_)));
+        assert!(server.registry.resident_bytes() <= cap);
+        assert_eq!(
+            server.registry.resident_bytes_of("a"),
+            None,
+            "a is the LRU graph"
+        );
+        assert_eq!(server.registry.resident_bytes_of("b"), Some(loaded + round));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
