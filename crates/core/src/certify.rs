@@ -12,8 +12,8 @@
 //!   set is acyclic, and it spans: no input edge joins two of its trees;
 //! * **cycle property** — every non-forest edge is strictly heavier (in the
 //!   `(weight, id)` total order) than the maximum edge on the forest path
-//!   between its endpoints, checked by O(log d) queries against a
-//!   [`PathMaxForest`] built over the claimed forest (d is its BFS depth).
+//!   between its endpoints, checked by O(log n) queries against a
+//!   [`PathMaxForest`], King's Borůvka tree of the claimed forest.
 //!
 //! A spanning forest with the cycle property is THE unique MSF under the
 //! total order. The cut property needs no pass of its own: a non-forest
@@ -30,10 +30,10 @@
 //! [`CertificateViolation::NotSpanning`] report. The queries are read-only
 //! and run as `p` block-partitioned parallel tasks, each carrying a
 //! [`WorkMeter`] so certification shows up in the modeled-cost accounting
-//! like any other phase. Total cost is O((n + m) log d). Verdicts come in a
-//! fixed order (structure, spanning, reported components, reported weight,
-//! then the cycle property at the lowest offending edge id), so a fixed
-//! input gets the same verdict at every p.
+//! like any other phase. Total cost is O(n α(n) + m log n). Verdicts come
+//! in a fixed order (structure, spanning, reported components, reported
+//! weight, then the cycle property at the lowest offending edge id), so a
+//! fixed input gets the same verdict at every p.
 
 use msf_graph::pathmax::PathMaxForest;
 use msf_graph::{EdgeKey, EdgeList};

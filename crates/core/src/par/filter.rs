@@ -11,8 +11,8 @@
 //! 1. flip a fair coin per edge → sampled subgraph `G_s`;
 //! 2. `F ← Bor-FAL MSF of G_s`;
 //! 3. discard every edge heavier — under the exact `(weight, id)` total
-//!    order — than the maximum edge on its endpoints' F-path
-//!    (binary-lifting path-max queries, read-only and embarrassingly
+//!    order — than the maximum edge on its endpoints' F-path (path-max
+//!    queries on King's Borůvka tree of F, read-only and embarrassingly
 //!    parallel): such edges are the unique maximum of a cycle and cannot be
 //!    in the unique MSF;
 //! 4. `Bor-FAL` on the surviving edges (expected O(n) of them).

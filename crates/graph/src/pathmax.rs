@@ -1,4 +1,5 @@
-//! Maximum-weight-on-path queries over a forest (binary lifting).
+//! Maximum-weight-on-path queries over a forest, answered on King's
+//! Borůvka tree.
 //!
 //! The substrate for cycle-property edge filtering, which the paper's §3
 //! analysis motivates ("if we can exclude heavy edges in the early stages
@@ -8,51 +9,48 @@
 //! discarded iff it is strictly heavier than every edge on the F-path
 //! between u and v.
 //!
-//! Build is O(n log d) for a forest of BFS depth d: a counting-sort CSR and
-//! an array-backed BFS root the forest, then ancestor tables double, one
-//! parallel map per level, for `max(1, bits(d))` levels. Each query is
-//! O(log d) and read-only, so the filtering pass parallelizes trivially.
+//! The structure is the Borůvka tree of V. King, "A Simpler Minimum
+//! Spanning Tree Verification Algorithm" (Algorithmica, 1997). The build
+//! runs Borůvka rounds over F. In each round every super-vertex that still
+//! has an edge picks its lightest under the `(weight, id)` order, and
+//! becomes a tree node that holds that key and points at its super-vertex
+//! of the next round. The vertices are the leaves. Every super-vertex of a
+//! tree picks in every round until the tree is one super-vertex, so each
+//! round at least halves a tree's super-vertices, all leaves of one tree
+//! sit at one depth of at most bits(n), and there are fewer than 2n nodes.
+//!
+//! A query walks both leaves up in lockstep until the walks meet, and the
+//! largest key it passes is the F-path maximum. King's theorem needs
+//! distinct weights, and the keys are distinct: each super-vertex on the
+//! walk holds one endpoint, so the F-path leaves it through an edge no
+//! lighter than its pick, and the heaviest F-path edge is the pick of one
+//! of them. The build is sequential and O(n α(n)); a query is O(log n) and
+//! read-only, so the filtering pass parallelizes trivially.
 
-use msf_primitives::pool;
+use msf_primitives::unionfind::UnionFind;
 
 use crate::edge::{EdgeKey, OrderedWeight};
 
 const NONE: u32 = u32::MAX;
 
-/// Smallest per-task vertex range of a parallel level build.
-const LEVEL_GRAIN: usize = 4096;
-
-/// Number of lifting levels that cover every ancestor distance up to
-/// `max_depth`: `bits(max_depth)`, at least 1 so level 0 (the parent
-/// array) always exists.
-#[inline]
-pub fn lifting_levels(max_depth: u32) -> usize {
-    bit_len(max_depth).max(1)
-}
-
-/// `bits(x)`: the length of `x` in binary (0 for 0).
-#[inline]
-pub fn bit_len(x: u32) -> usize {
-    (u32::BITS - x.leading_zeros()) as usize
-}
-
-/// One lifting-table entry: the 2^k-th ancestor of a vertex and the
-/// maximum key on the path up to it, packed into 16 bytes so that a query
-/// step reads one entry instead of one from each of two tables.
+/// One Borůvka-tree node: the key of the edge its super-vertex picked and
+/// the node of the super-vertex it joined, packed into 16 bytes so that a
+/// query step reads one entry.
 #[derive(Debug, Clone, Copy)]
 struct Hop {
-    /// Weight of the path-maximum edge.
+    /// Weight of the picked edge.
     w: OrderedWeight,
-    /// Id of the path-maximum edge.
+    /// Id of the picked edge.
     id: u32,
-    /// The 2^k-th ancestor (NONE above the root).
+    /// The parent node (NONE at a root).
     up: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Hop>() == 16);
 
 impl Hop {
-    /// The entry of a vertex with no 2^k-th ancestor's path to report.
+    /// A node that has picked no edge: a root. Its key is above every real
+    /// key, so the first edge a round offers it replaces it.
     const ROOT: Hop = Hop {
         w: EdgeKey::MAX.w,
         id: EdgeKey::MAX.id,
@@ -68,17 +66,14 @@ impl Hop {
     }
 }
 
-/// Binary-lifting path-maximum structure over a rooted forest. Maxima are
+/// Path-maximum structure over a forest: King's Borůvka tree. Maxima are
 /// full [`EdgeKey`]s, so queries are exact under the suite's `(weight, id)`
 /// total order — ties included.
 #[derive(Debug, Clone)]
 pub struct PathMaxForest {
-    /// hops[k][v]: v's 2^k-th ancestor and the max edge key on the path
-    /// from v up to it.
-    hops: Vec<Vec<Hop>>,
-    depth: Vec<u32>,
-    /// Component root of each vertex (identifies connectivity).
-    comp: Vec<u32>,
+    /// The vertices `0..n` are the leaves; each round's new super-vertices
+    /// follow the previous round's.
+    nodes: Vec<Hop>,
 }
 
 impl PathMaxForest {
@@ -87,138 +82,101 @@ impl PathMaxForest {
     /// # Panics
     /// Panics if the edges contain a cycle.
     pub fn build(n: usize, edges: &[(u32, u32, EdgeKey)]) -> Self {
-        // Counting-sort CSR of the forest: `slots[head[x]..head[x + 1]]`
-        // are the indices of the edges incident to x.
-        let mut head = vec![0u32; n + 1];
-        for &(u, v, _) in edges {
-            head[u as usize] += 1;
-            head[v as usize] += 1;
+        let mut nodes = Vec::with_capacity(2 * n);
+        nodes.resize(n, Hop::ROOT);
+        // A round's super-vertices are `nodes[lo..]`.
+        let mut lo = 0;
+        let mut rest;
+        let mut round = edges;
+        while !round.is_empty() {
+            let hi = nodes.len();
+            rest = contract(&mut nodes, lo, round);
+            round = &rest;
+            lo = hi;
         }
-        let mut total = 0u32;
-        for h in &mut head {
-            total += *h;
-            *h = total;
-        }
-        let mut slots = vec![0u32; 2 * edges.len()];
-        for (i, &(u, v, _)) in edges.iter().enumerate() {
-            for x in [u, v] {
-                head[x as usize] -= 1;
-                slots[head[x as usize] as usize] = i as u32;
-            }
-        }
-
-        let mut base = vec![Hop::ROOT; n];
-        let mut depth = vec![0u32; n];
-        let mut comp = vec![NONE; n];
-        // Every vertex is enqueued exactly once over all trees, so one
-        // n-slot array serves as the BFS queue of the whole forest.
-        let mut queue = vec![0u32; n];
-        let (mut qhead, mut qtail) = (0usize, 0usize);
-        let mut max_depth = 0u32;
-        let mut visited_edges = 0usize;
-        for root in 0..n as u32 {
-            if comp[root as usize] != NONE {
-                continue;
-            }
-            comp[root as usize] = root;
-            queue[qtail] = root;
-            qtail += 1;
-            while qhead < qtail {
-                let x = queue[qhead];
-                qhead += 1;
-                let (lo, hi) = (head[x as usize], head[x as usize + 1]);
-                for &i in &slots[lo as usize..hi as usize] {
-                    let (a, b, w) = edges[i as usize];
-                    let y = a ^ b ^ x;
-                    if comp[y as usize] != NONE {
-                        continue;
-                    }
-                    comp[y as usize] = root;
-                    base[y as usize] = Hop {
-                        w: w.w,
-                        id: w.id,
-                        up: x,
-                    };
-                    depth[y as usize] = depth[x as usize] + 1;
-                    max_depth = max_depth.max(depth[y as usize]);
-                    visited_edges += 1;
-                    queue[qtail] = y;
-                    qtail += 1;
-                }
-            }
-        }
-        assert_eq!(visited_edges, edges.len(), "input contained a cycle");
-
-        let levels = lifting_levels(max_depth);
-        let mut hops = vec![base];
-        for k in 1..levels {
-            let prev = &hops[k - 1];
-            let next: Vec<Hop> = pool::map_collect(n, LEVEL_GRAIN, |v| match prev[v].up {
-                NONE => Hop::ROOT,
-                mid => {
-                    // When `mid` is a root this entry has no 2^k-th
-                    // ancestor (up = NONE) and no query reads it.
-                    let (h, m) = (prev[v], prev[mid as usize]);
-                    let max = h.key().max(m.key());
-                    Hop {
-                        w: max.w,
-                        id: max.id,
-                        up: m.up,
-                    }
-                }
-            });
-            hops.push(next);
-        }
-        PathMaxForest { hops, depth, comp }
-    }
-
-    /// True when `u` and `v` are in the same tree.
-    #[inline]
-    pub fn connected(&self, u: u32, v: u32) -> bool {
-        self.comp[u as usize] == self.comp[v as usize]
+        PathMaxForest { nodes }
     }
 
     /// Maximum edge key on the forest path between `u` and `v`, or `None`
     /// when they are in different trees (or `u == v`).
     pub fn path_max(&self, mut u: u32, mut v: u32) -> Option<EdgeKey> {
-        if u == v || !self.connected(u, v) {
+        if u == v {
             return None;
         }
         let mut best = EdgeKey {
             w: OrderedWeight(f64::NEG_INFINITY),
             id: 0,
         };
-        // Lift the deeper endpoint.
-        if self.depth[u as usize] < self.depth[v as usize] {
-            std::mem::swap(&mut u, &mut v);
-        }
-        let mut diff = self.depth[u as usize] - self.depth[v as usize];
-        let mut k = 0;
-        while diff > 0 {
-            if diff & 1 == 1 {
-                let h = self.hops[k][u as usize];
-                best = best.max(h.key());
-                u = h.up;
+        while u != v {
+            let (hu, hv) = (self.nodes[u as usize], self.nodes[v as usize]);
+            // The leaves of one tree share a depth, so a walk that reaches
+            // a root before the walks meet started in another tree.
+            if hu.up == NONE || hv.up == NONE {
+                return None;
             }
-            diff >>= 1;
-            k += 1;
+            best = best.max(hu.key()).max(hv.key());
+            (u, v) = (hu.up, hv.up);
         }
-        if u == v {
-            return Some(best);
-        }
-        // Lift both until the parents coincide. The common ancestor is at
-        // most depth(u) levels up, so jumps of 2^k > depth(u) never apply.
-        for k in (0..bit_len(self.depth[u as usize])).rev() {
-            let (hu, hv) = (self.hops[k][u as usize], self.hops[k][v as usize]);
-            if hu.up != hv.up {
-                best = best.max(hu.key()).max(hv.key());
-                u = hu.up;
-                v = hv.up;
-            }
-        }
-        let (hu, hv) = (self.hops[0][u as usize], self.hops[0][v as usize]);
-        Some(best.max(hu.key()).max(hv.key()))
+        Some(best)
     }
+}
+
+/// One Borůvka round over `edges`, whose endpoints are the super-vertices
+/// `nodes[lo..]`. Each super-vertex with an edge takes its lightest edge's
+/// key and a fresh parent node, one per new super-vertex; the edges that
+/// join two new super-vertices come back relabelled to them.
+///
+/// # Panics
+/// Panics if the edges contain a cycle.
+fn contract(
+    nodes: &mut Vec<Hop>,
+    lo: usize,
+    edges: &[(u32, u32, EdgeKey)],
+) -> Vec<(u32, u32, EdgeKey)> {
+    let hi = nodes.len();
+    for &(u, v, key) in edges {
+        for (x, y) in [(u, v), (v, u)] {
+            let pick = &mut nodes[x as usize];
+            if key < pick.key() {
+                *pick = Hop {
+                    w: key.w,
+                    id: key.id,
+                    up: y,
+                };
+            }
+        }
+    }
+    // The picks join super-vertices into sets, one per new super-vertex.
+    // Union–find compresses the chains that picks can form: on a path whose
+    // weights rise along it, one round hooks every vertex into one chain.
+    let mut sets = UnionFind::new(hi - lo);
+    for (x, node) in nodes[lo..hi].iter().enumerate() {
+        if node.up != NONE {
+            sets.union(x, node.up as usize - lo);
+        }
+    }
+    let hooks = (hi - lo) - sets.set_count();
+    let mut parent = vec![NONE; hi - lo];
+    for x in lo..hi {
+        if nodes[x].up != NONE {
+            let set = sets.find(x - lo);
+            if parent[set] == NONE {
+                parent[set] = nodes.len() as u32;
+                nodes.push(Hop::ROOT);
+            }
+            nodes[x].up = parent[set];
+        }
+    }
+    // Every endpoint picked, so its `up` is its new super-vertex. A forest
+    // drops exactly the picked edges, one per hook; any other edge inside a
+    // set closes a cycle.
+    let rest: Vec<_> = edges
+        .iter()
+        .map(|&(u, v, key)| (nodes[u as usize].up, nodes[v as usize].up, key))
+        .filter(|&(u, v, _)| u != v)
+        .collect();
+    assert_eq!(edges.len() - rest.len(), hooks, "input contained a cycle");
+    rest
 }
 
 #[cfg(test)]
@@ -293,9 +251,9 @@ mod tests {
     fn different_trees_are_disconnected() {
         let edges = keyed(&[(0, 1, 1.0), (2, 3, 2.0)]);
         let pm = PathMaxForest::build(4, &edges);
-        assert!(!pm.connected(0, 2));
+        assert_eq!(pm.path_max(0, 2), None);
         assert_eq!(pm.path_max(0, 3), None);
-        assert!(pm.connected(0, 1));
+        assert_eq!(pm.path_max(0, 1), Some(k(1.0, 0)));
     }
 
     #[test]
@@ -349,15 +307,15 @@ mod tests {
     #[test]
     fn empty_forest_and_single_vertex() {
         let pm = PathMaxForest::build(0, &[]);
-        assert!(pm.hops[0].is_empty());
+        assert!(pm.nodes.is_empty());
         let pm = PathMaxForest::build(1, &[]);
-        assert!(pm.connected(0, 0));
         assert_eq!(pm.path_max(0, 0), None);
-        // Edgeless multi-vertex forest: everything is its own tree.
+        // Edgeless multi-vertex forest: everything is its own tree, a leaf
+        // that is its own root.
         let pm = PathMaxForest::build(4, &[]);
+        assert_eq!(pm.nodes.len(), 4);
         for u in 0..4u32 {
             for v in 0..4u32 {
-                assert_eq!(pm.connected(u, v), u == v);
                 assert_eq!(pm.path_max(u, v), None);
             }
         }
@@ -387,42 +345,41 @@ mod tests {
         assert_eq!(pm.path_max(4, 5), Some(k(1.0, 1)));
         assert_eq!(pm.path_max(0, 4), None);
         assert_eq!(pm.path_max(2, 3), None);
-        assert!(!pm.connected(2, 6));
-        assert!(!pm.connected(1, 9));
+        assert_eq!(pm.path_max(2, 6), None);
+        assert_eq!(pm.path_max(1, 9), None);
     }
 
-    /// Max depth of the forest when each tree is rooted at its smallest
-    /// vertex, by a plain BFS over an adjacency-list copy.
-    fn reference_max_depth(n: usize, edges: &[(u32, u32, EdgeKey)]) -> u32 {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(a, b, _) in edges {
-            adj[a as usize].push(b);
-            adj[b as usize].push(a);
+    /// The root of leaf `v`'s tree, and the leaf's depth: the number of
+    /// rounds its tree took.
+    fn root_and_depth(pm: &PathMaxForest, v: u32) -> (u32, usize) {
+        let (mut x, mut depth) = (v, 0);
+        while pm.nodes[x as usize].up != NONE {
+            x = pm.nodes[x as usize].up;
+            depth += 1;
         }
-        let mut depth = vec![u32::MAX; n];
-        let mut deepest = 0;
-        for root in 0..n {
-            if depth[root] != u32::MAX {
-                continue;
-            }
-            depth[root] = 0;
-            let mut queue = std::collections::VecDeque::from([root]);
-            while let Some(x) = queue.pop_front() {
-                deepest = deepest.max(depth[x]);
-                for &y in &adj[x] {
-                    if depth[y as usize] == u32::MAX {
-                        depth[y as usize] = depth[x] + 1;
-                        queue.push_back(y as usize);
-                    }
-                }
-            }
-        }
-        deepest
+        (x, depth)
     }
 
-    /// Build, check that the tables have exactly `max(1, bits(depth))`
-    /// levels, and compare `path_max` with the brute-force DFS on the given
-    /// pairs plus `random` random pairs.
+    fn leaf_depth(pm: &PathMaxForest, v: u32) -> usize {
+        root_and_depth(pm, v).1
+    }
+
+    /// Within each tree every leaf sits at one depth, at most bits(n), and
+    /// the forest has fewer than 2n nodes.
+    fn assert_levels(pm: &PathMaxForest, n: usize) {
+        assert!(pm.nodes.len() < 2 * n.max(1), "{} nodes", pm.nodes.len());
+        let bits = (usize::BITS - n.leading_zeros()) as usize;
+        let mut depth_of_root = std::collections::HashMap::new();
+        for v in 0..n as u32 {
+            let (root, depth) = root_and_depth(pm, v);
+            assert!(depth <= bits, "leaf {v} at depth {depth}, bits(n) = {bits}");
+            let first = *depth_of_root.entry(root).or_insert(depth);
+            assert_eq!(depth, first, "leaves of root {root} differ in depth");
+        }
+    }
+
+    /// Build, check the Borůvka tree's levels, and compare `path_max` with
+    /// the brute-force DFS on the given pairs plus `random` random pairs.
     fn check_against_brute(
         n: usize,
         edges: &[(u32, u32, EdgeKey)],
@@ -432,8 +389,7 @@ mod tests {
     ) {
         use rand::prelude::*;
         let pm = PathMaxForest::build(n, edges);
-        let depth = reference_max_depth(n, edges);
-        assert_eq!(pm.hops.len(), bit_len(depth).max(1), "depth {depth}");
+        assert_levels(&pm, n);
         let mut rng = StdRng::seed_from_u64(seed);
         let random_pairs =
             (0..random).map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)));
@@ -448,7 +404,7 @@ mod tests {
 
     /// A "broom" of exact depth `d`: a handle path 0 - 1 - … - d rooted at
     /// vertex 0, plus `bristles` leaves hung off handle vertices above the
-    /// last one. Labels 1.. are shuffled so the BFS meets them out of order;
+    /// last one. Labels 1.. are shuffled, so ids do not follow the handle;
     /// weights are small integers, so many ties fall to the id order.
     fn broom(d: u32, bristles: u32, seed: u64) -> (usize, Vec<(u32, u32, EdgeKey)>) {
         use rand::prelude::*;
@@ -474,7 +430,7 @@ mod tests {
 
     #[test]
     fn level_count_tracks_depth_at_power_of_two_boundaries() {
-        // Depth 0: no edges, one level (the parent array) all the same.
+        // Depth 0: no edges, every vertex a root.
         check_against_brute(5, &[], &[(0, 4), (2, 2)], 10, 1);
         // Depth 1: a star rooted at 0.
         let star = keyed(
@@ -494,7 +450,7 @@ mod tests {
 
     #[test]
     fn long_chain_and_many_small_trees_match_brute_force() {
-        // A 2^12 + 1 vertex chain: depth 2^12, 13 levels.
+        // A 2^12 + 1 vertex chain: depth 2^12, at most 13 rounds.
         let n = (1u32 << 12) + 1;
         let chain = keyed(
             &(0..n - 1)
@@ -502,7 +458,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let pm = PathMaxForest::build(n as usize, &chain);
-        assert_eq!(pm.hops.len(), 13);
+        assert!((2..=13).contains(&leaf_depth(&pm, 0)));
         check_against_brute(
             n as usize,
             &chain,
@@ -512,7 +468,7 @@ mod tests {
         );
 
         // 600 small random trees (1 to 9 vertices) with shuffled labels, so
-        // each tree's root is wherever its smallest label landed.
+        // a tree's ids are scattered over the whole range.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(5);
         let mut raw = Vec::new();
@@ -548,9 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn deep_chain_exercises_all_lifting_levels() {
-        // A 1000-vertex path: queries must climb ~10 lifting levels; the
-        // maximum sits mid-path so both endpoint climbs matter.
+    fn deep_chain_finds_a_mid_path_spike() {
+        // A 1000-vertex path whose maximum sits mid-path, so both endpoint
+        // walks matter.
         let n = 1000u32;
         let raw: Vec<(u32, u32, f64)> = (0..n - 1)
             .map(|v| (v, v + 1, if v == 499 { 1e6 } else { f64::from(v % 97) }))
@@ -562,5 +518,54 @@ mod tests {
         // Entirely on one side of the spike.
         assert_eq!(pm.path_max(0, 400), brute(n as usize, &edges, 0, 400));
         assert_eq!(pm.path_max(600, 999), brute(n as usize, &edges, 600, 999));
+    }
+
+    /// A 2^20-vertex path whose keys rise along it: round 1 hooks every
+    /// vertex into one chain, which only a compressed labelling finishes
+    /// in time. Equal weights rise the same way, by id.
+    #[test]
+    fn rising_path_of_a_million_vertices_collapses_in_one_round() {
+        let n = 1u32 << 20;
+        for w in [|v: u32| f64::from(v), |_| 1.0] {
+            let path = keyed(&(0..n - 1).map(|v| (v, v + 1, w(v))).collect::<Vec<_>>());
+            let pm = PathMaxForest::build(n as usize, &path);
+            assert_levels(&pm, n as usize);
+            assert_eq!(leaf_depth(&pm, 0), 1);
+            // The path max between u < v is its last edge, (v - 1, v).
+            for (u, v) in [(0, n - 1), (n - 1, 0), (0, 1), (5, 6), (12_345, 999_999)] {
+                let last = u.max(v) - 1;
+                assert_eq!(pm.path_max(u, v), Some(k(w(last), last)), "({u},{v})");
+            }
+        }
+    }
+
+    #[test]
+    fn trees_of_different_heights_are_disconnected() {
+        // A 2-vertex tree (one round) and a 9-vertex path 2 - … - 10 whose
+        // alternating weights take two rounds.
+        let mut raw = vec![(0, 1, 1.0)];
+        raw.extend((2..10u32).map(|v| (v, v + 1, if v % 2 == 0 { 1.0 } else { 9.0 })));
+        let edges = keyed(&raw);
+        let pm = PathMaxForest::build(11, &edges);
+        assert_levels(&pm, 11);
+        assert_eq!(leaf_depth(&pm, 0), 1);
+        assert_eq!(leaf_depth(&pm, 2), 2);
+        for u in 0..2 {
+            for v in 2..11 {
+                assert_eq!(pm.path_max(u, v), None, "({u},{v})");
+                assert_eq!(pm.path_max(v, u), None, "({v},{u})");
+            }
+        }
+        assert_eq!(pm.path_max(2, 10), brute(11, &edges, 2, 10));
+        assert_eq!(pm.path_max(0, 1), Some(k(1.0, 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn cycle_closed_by_the_first_edge_panics() {
+        // Round 1 contracts 0 - 1 and 2 - 3; round 2 sees two edges between
+        // the pairs, and the closing edge (3, 0) comes first.
+        let edges = keyed(&[(3, 0, 5.0), (0, 1, 1.0), (1, 2, 5.0), (2, 3, 1.0)]);
+        PathMaxForest::build(4, &edges);
     }
 }

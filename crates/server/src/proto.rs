@@ -423,9 +423,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Read one frame payload. `Ok(None)` on clean EOF at a frame boundary
 /// (the peer closed); errors on truncation mid-frame or an oversized
 /// length prefix.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+///
+/// On a stream with a read timeout, a timeout before the frame's first
+/// byte returns its error, so the caller can idle between frames. Once the
+/// frame has started, a timeout keeps the bytes read so far and resumes,
+/// unless `give_up()` returns true; then the timeout error returns.
+pub fn read_frame(
+    r: &mut impl Read,
+    mut give_up: impl FnMut() -> bool,
+) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len)? {
+    if !fill(r, &mut len, false, &mut give_up)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(len);
@@ -435,25 +443,44 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         )));
     }
     let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    fill(r, &mut buf, true, &mut give_up)?;
     Ok(Some(buf))
 }
 
-/// `read_exact`, but a clean EOF before the first byte returns `Ok(false)`
-/// instead of an error (so idle peers can hang up between frames).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+/// True for the errors a read timeout raises.
+pub fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// `read_exact` for one piece of a frame (`started` once an earlier piece
+/// arrived). A clean EOF before the frame's first byte returns `Ok(false)`
+/// instead of an error (so idle peers can hang up between frames); a
+/// timeout after it resumes unless `give_up()`.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    mut started: bool,
+    give_up: &mut impl FnMut() -> bool,
+) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) if !started => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-frame",
                 ))
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                started = true;
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if started && is_timeout(&e) && !give_up() => {}
             Err(e) => return Err(e),
         }
     }
@@ -645,14 +672,54 @@ mod tests {
         write_frame(&mut wire, b"hello").unwrap();
         write_frame(&mut wire, b"").unwrap();
         let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert_eq!(read_frame(&mut r, || true).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut r, || true).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut r, || true).unwrap().is_none(), "clean EOF");
         // Oversized length prefix.
         let mut r = &[0xFF, 0xFF, 0xFF, 0xFF, 0][..];
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_frame(&mut r, || true).is_err());
         // Truncated mid-frame.
         let mut r = &[5, 0, 0, 0, b'h'][..];
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_frame(&mut r, || true).is_err());
+    }
+
+    /// Hands out one scripted step per `read`: some bytes (no more than the
+    /// reader asks for), or a timeout.
+    struct Stalling(std::collections::VecDeque<Option<&'static [u8]>>);
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeouts_idle_between_frames_and_resume_inside_one() {
+        let script = [
+            None,
+            Some(&[5, 0][..]),
+            None,
+            Some(&[0, 0][..]),
+            Some(&b"h"[..]),
+            None,
+            Some(&b"ello"[..]),
+        ];
+        let mut r = Stalling(script.into_iter().collect());
+        // Before the first byte a timeout is the caller's to handle.
+        let idle = read_frame(&mut r, || false).unwrap_err();
+        assert!(is_timeout(&idle));
+        // Inside the frame, both timeouts resume with no byte lost.
+        assert_eq!(read_frame(&mut r, || false).unwrap().unwrap(), b"hello");
+        assert!(read_frame(&mut r, || false).unwrap().is_none(), "clean EOF");
+        // A caller that gives up gets the timeout back.
+        let mut r = Stalling([Some(&[5, 0][..]), None].into_iter().collect());
+        assert!(is_timeout(&read_frame(&mut r, || true).unwrap_err()));
     }
 }

@@ -33,8 +33,8 @@ use msf_obs::{self as obs, SpanKind};
 use crate::admission::{Admission, AdmissionConfig, Admitted};
 use crate::batch::Batcher;
 use crate::proto::{
-    read_frame, write_frame, CertifyReply, ComputeReply, InfoReply, Op, Request, Response,
-    FLAG_NO_CACHE, FLAG_PARANOID,
+    is_timeout, read_frame, write_frame, CertifyReply, ComputeReply, InfoReply, Op, Request,
+    Response, FLAG_NO_CACHE, FLAG_PARANOID,
 };
 use crate::registry::{Registry, ResidentGraph};
 
@@ -660,10 +660,12 @@ pub fn serve_connection(server: &Server, stream: impl Into<Stream>) {
 /// Per-connection loop: frame in, response out, until EOF, protocol error,
 /// or drain.
 fn connection_loop(server: &Server, mut stream: Stream) {
-    // Short read timeouts let idle connections notice the drain flag.
+    // Short read timeouts let idle connections notice the drain flag. A
+    // frame that has started arriving is read to its end, however slowly,
+    // unless the drain begins.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     loop {
-        match read_frame(&mut stream) {
+        match read_frame(&mut stream, || server.shutting_down()) {
             Ok(Some(payload)) => {
                 let resp = match Request::decode(&payload) {
                     Ok(req) => {
@@ -693,9 +695,7 @@ fn connection_loop(server: &Server, mut stream: Stream) {
                 }
             }
             Ok(None) => return, // clean EOF
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(e) if is_timeout(&e) => {
                 if server.shutting_down() {
                     return;
                 }

@@ -288,6 +288,43 @@ fn malformed_frames_get_an_error_not_a_hangup() {
     );
 }
 
+/// Read one reply frame off a raw socket.
+fn read_reply(s: &mut std::os::unix::net::UnixStream) -> Response {
+    use std::io::Read as _;
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).expect("reply frame length");
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    s.read_exact(&mut body).expect("reply frame body");
+    Response::decode(&body).expect("decodable reply")
+}
+
+#[test]
+fn a_writer_that_pauses_mid_frame_gets_its_reply() {
+    let (addr, handle) = start_daemon("slow-writer", ServerConfig::default(), vec![]);
+    let sock = addr.strip_prefix("unix:").unwrap();
+    let mut s = std::os::unix::net::UnixStream::connect(sock).expect("connect raw");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let payload = Request::op(Op::Ping).encode();
+    assert!(payload.len() >= 2);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    // Pause inside the length prefix, then after one payload byte, each
+    // time for longer than the daemon's 100 ms idle read timeout.
+    for split in [2, 5] {
+        s.write_all(&frame[..split]).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        s.write_all(&frame[split..]).unwrap();
+        match read_reply(&mut s) {
+            Response::Pong => {}
+            other => panic!("split at byte {split}: {other:?}"),
+        }
+    }
+    // The connection is still in step for the next request.
+    s.write_all(&frame).unwrap();
+    assert!(matches!(read_reply(&mut s), Response::Pong));
+    assert_eq!(shutdown(&addr, handle), 0);
+}
+
 #[test]
 fn requests_round_trip_over_tcp_too() {
     let cfg = ServerConfig {
