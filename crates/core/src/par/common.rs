@@ -258,6 +258,46 @@ pub(crate) fn group_by_label(labels: &[u32], k: usize, p: usize) -> (Vec<usize>,
     )
 }
 
+/// Support for the kernels' load-balance tests, which read a step's balance
+/// off its modeled cost.
+#[cfg(test)]
+pub(crate) mod balance {
+    use msf_graph::generators::{
+        powerlaw_from, powerlaw_graph, rmat_graph, rmat_graph500, GeneratorConfig,
+    };
+    use msf_graph::EdgeList;
+
+    use super::PHASE_OVERHEAD;
+    use crate::stats::StepStats;
+
+    /// The skewed-degree inputs of the workspace's pool matrix.
+    pub(crate) fn skewed_inputs() -> Vec<(&'static str, EdgeList)> {
+        let cfg = GeneratorConfig::with_seed(7);
+        vec![
+            (
+                "rmat scale 12",
+                rmat_graph(rmat_graph500(&cfg, 12, 8)).expect("small R-MAT builds"),
+            ),
+            (
+                "powerlaw n=4000 m=24000",
+                powerlaw_graph(powerlaw_from(&cfg, 4_000, 24_000)).expect("power-law builds"),
+            ),
+        ]
+    }
+
+    /// Assert that the slowest of a step's `p` blocks does at most 15% more
+    /// work than an even share, with the phase overhead removed.
+    pub(crate) fn assert_balanced(step: &StepStats, p: usize, what: &str) {
+        let max = step.modeled_max - PHASE_OVERHEAD;
+        let total = step.modeled_total - p as u64 * PHASE_OVERHEAD;
+        assert!(
+            100 * p as u64 * max <= 115 * total,
+            "{what}: the slowest block does {:.2}x an even share of the work",
+            (p as u64 * max) as f64 / total as f64
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use msf_graph::{Edge, EdgeKey, EdgeList, OrderedWeight};
-use msf_primitives::block_range;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::csr;
 use msf_primitives::fused::record_traffic;
@@ -35,6 +34,7 @@ use msf_primitives::heap::IndexedHeap;
 use msf_primitives::obs;
 use msf_primitives::permutation::parallel_permutation;
 use msf_primitives::pool;
+use msf_primitives::split::WeightedSplit;
 use msf_primitives::steal::StealingPartitions;
 use msf_primitives::unionfind::UnionFind;
 
@@ -62,6 +62,7 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
     let mut edges: Vec<Edge> = g.edges().to_vec();
     let mut out: Vec<u32> = Vec::with_capacity(n.saturating_sub(1));
     let mut level = 0u64;
+    let mut split = WeightedSplit::new(p);
 
     while n > cfg.base_size && !edges.is_empty() {
         let mut it = IterationStats {
@@ -91,7 +92,7 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
         // Step 3: Borůvka step for unvisited vertices.
         let step = StepSpan::begin(StepKind::Connect, stats.iterations.len());
         let mut b_meters = vec![WorkMeter::new(); p];
-        let boruvka_edges = unvisited_min_edges(&rows, &edges, &visited, p, &mut b_meters);
+        let boruvka_edges = unvisited_min_edges(&rows, &edges, &visited, &mut split, &mut b_meters);
         drop(rows);
         let mut chosen = tree_edges;
         chosen.extend_from_slice(&boruvka_edges);
@@ -191,6 +192,12 @@ impl Rows {
         // matrix read and rewritten by the prefix pass.
         record_traffic((2 * std::mem::size_of_val(edges) + 8 * entries.len() + 16 * p * n) as u64);
         Rows { offsets, entries }
+    }
+
+    /// The number of entries in row `v`.
+    #[inline]
+    fn row_len(&self, v: u32) -> usize {
+        self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
     /// `(neighbour, edge index)` over row `v`.
@@ -428,16 +435,28 @@ fn grow_trees(
 }
 
 /// Step 3: each unvisited vertex contributes its minimum incident edge.
+///
+/// The scan of `v` costs its row, and only unvisited vertices scan, so the
+/// vertices are cut into one contiguous block per meter by weight: 1, plus
+/// the row length for an unvisited vertex ([`WeightedSplit`]). The growers
+/// leave the unvisited vertices, and on skewed inputs the long rows, far
+/// from evenly spread over blocks of equal vertex count.
 fn unvisited_min_edges(
     rows: &Rows,
     edges: &[Edge],
     visited: &[bool],
-    p: usize,
+    split: &mut WeightedSplit,
     meters: &mut [WorkMeter],
 ) -> Vec<u32> {
-    let n = visited.len();
+    let p = meters.len();
+    // A visited vertex is skipped; an unvisited one scans its row.
+    let weight = |v: usize| match visited[v] {
+        true => 1,
+        false => 1 + rows.row_len(v as u32) as u64,
+    };
+    let bounds = split.split(visited.len(), weight, meters);
     let parts: Vec<(Vec<u32>, WorkMeter)> = pool::map_collect(p, 1, |t| {
-        let r = block_range(n, p, t);
+        let r = bounds[t]..bounds[t + 1];
         let mut meter = WorkMeter::new();
         let mut found = Vec::new();
         for v in r {
@@ -690,5 +709,21 @@ mod tests {
         let r = msf(&g, &c);
         assert_eq!(r.edges, crate::seq::kruskal::msf(&g).edges);
         assert!(r.stats.iterations.is_empty(), "entirely the base case");
+    }
+
+    #[test]
+    fn boruvka_step_blocks_carry_equal_work_on_skewed_inputs() {
+        // Step 3 runs in the connect step. Blocks of equal vertex count
+        // gave one block up to 2.3x its share of the step on these inputs.
+        for (name, g) in crate::par::common::balance::skewed_inputs() {
+            for p in [2, 3] {
+                let r = msf(&g, &MsfConfig::with_threads(p));
+                assert_eq!(r.edges, crate::seq::kruskal::msf(&g).edges, "{name} p={p}");
+                for (i, it) in r.stats.iterations.iter().enumerate() {
+                    let what = format!("{name}, p={p}, connect step of round {i}");
+                    crate::par::common::balance::assert_balanced(&it.connect, p, &what);
+                }
+            }
+        }
     }
 }

@@ -31,6 +31,9 @@
 //! * [`permutation`] — parallel random permutation (Sanders-style), used by
 //!   MST-BC to guarantee progress with high probability.
 //! * [`arena`] — per-thread bump arenas, the Bor-ALM memory manager.
+//! * [`split`] — contiguous blocks of about equal total weight, for loops
+//!   whose items cost very different amounts (Bor-FAL's and MST-BC's
+//!   adjacency scans on skewed graphs).
 //! * [`steal`] — work-stealing vertex partitions (owner takes from the head,
 //!   thieves from the tail), as described in §4 of the paper.
 //! * [`cost`] — per-thread work meters and per-step timers in the spirit of
@@ -58,6 +61,7 @@ pub mod heap;
 pub mod permutation;
 pub mod prefix;
 pub mod sort;
+pub mod split;
 pub mod steal;
 pub mod unionfind;
 

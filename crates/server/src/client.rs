@@ -7,7 +7,9 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 
-use crate::proto::{read_frame, write_frame, Op, Request, Response, FLAG_NO_CACHE, FLAG_PARANOID};
+use crate::proto::{
+    read_frame, write_frame, Op, Request, Response, FLAG_NO_CACHE, FLAG_PARANOID, MAX_FRAME,
+};
 
 enum Conn {
     Unix(UnixStream),
@@ -58,7 +60,7 @@ impl Client {
     /// Send one request and block for its response.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
         write_frame(&mut self.conn, &req.encode())?;
-        match read_frame(&mut self.conn, || true)? {
+        match read_frame(&mut self.conn, MAX_FRAME, || true)? {
             Some(payload) => Response::decode(&payload),
             None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

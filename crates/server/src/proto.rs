@@ -6,15 +6,23 @@
 //! One request frame yields exactly one response frame, in order, per
 //! connection; clients may pipeline but the server replies sequentially.
 //! Malformed frames (bad opcode, truncated fields, oversized length) are
-//! protocol errors: the server answers with [`Response::Error`] when it can
-//! still frame a reply, and drops the connection when it cannot.
+//! protocol errors, and the server answers each with [`Response::Error`].
+//! After an oversized length prefix it then closes the connection, because
+//! the bytes that follow cannot be told apart from the next frame. A
+//! connection cut mid-frame gets no reply.
 
 use std::io::{self, Read, Write};
 
-/// Hard cap on a frame payload, guarding both sides against a hostile or
-/// corrupt length prefix (64 MiB — stats dumps and error strings are far
-/// smaller; graphs never travel over the wire, only names and paths do).
+/// Hard cap on a reply frame's payload, guarding the client against a
+/// hostile or corrupt length prefix (64 MiB — stats dumps, profiles and
+/// error strings are far smaller).
 pub const MAX_FRAME: u32 = 1 << 26;
+
+/// Hard cap on a request frame's payload (64 KiB). Graphs never travel over
+/// the wire: a request carries only a graph name, an algorithm slug and a
+/// path, so the server refuses a longer length prefix before it allocates
+/// the payload.
+pub const MAX_REQUEST_FRAME: u32 = 1 << 16;
 
 /// Request the forest be re-certified (cycle-property proof) before
 /// replying, even if the server was not started `--paranoid`.
@@ -420,9 +428,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame payload. `Ok(None)` on clean EOF at a frame boundary
-/// (the peer closed); errors on truncation mid-frame or an oversized
-/// length prefix.
+/// Read one frame payload of at most `max_len` bytes. `Ok(None)` on clean
+/// EOF at a frame boundary (the peer closed); errors on truncation
+/// mid-frame. A length prefix above `max_len` returns an
+/// [`io::ErrorKind::InvalidData`] error naming the cap, before any of the
+/// payload is read or allocated.
 ///
 /// On a stream with a read timeout, a timeout before the frame's first
 /// byte returns its error, so the caller can idle between frames. Once the
@@ -430,6 +440,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// unless `give_up()` returns true; then the timeout error returns.
 pub fn read_frame(
     r: &mut impl Read,
+    max_len: u32,
     mut give_up: impl FnMut() -> bool,
 ) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
@@ -437,9 +448,9 @@ pub fn read_frame(
         return Ok(None);
     }
     let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
+    if len > max_len {
         return Err(bad_data(format!(
-            "frame length {len} exceeds the {MAX_FRAME}-byte cap"
+            "frame length {len} exceeds the {max_len}-byte cap"
         )));
     }
     let mut buf = vec![0u8; len as usize];
@@ -672,15 +683,29 @@ mod tests {
         write_frame(&mut wire, b"hello").unwrap();
         write_frame(&mut wire, b"").unwrap();
         let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r, || true).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r, || true).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut r, || true).unwrap().is_none(), "clean EOF");
-        // Oversized length prefix.
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME, || true).unwrap().unwrap(),
+            b"hello"
+        );
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME, || true).unwrap().unwrap(),
+            b""
+        );
+        assert!(
+            read_frame(&mut r, MAX_FRAME, || true).unwrap().is_none(),
+            "clean EOF"
+        );
+        // Oversized length prefixes: past the reply cap, and past the
+        // request cap by one byte.
         let mut r = &[0xFF, 0xFF, 0xFF, 0xFF, 0][..];
-        assert!(read_frame(&mut r, || true).is_err());
+        assert!(read_frame(&mut r, MAX_FRAME, || true).is_err());
+        let mut r = &[1, 0, 1, 0, 0][..];
+        let err = read_frame(&mut r, MAX_REQUEST_FRAME, || true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("65536-byte cap"), "{err}");
         // Truncated mid-frame.
         let mut r = &[5, 0, 0, 0, b'h'][..];
-        assert!(read_frame(&mut r, || true).is_err());
+        assert!(read_frame(&mut r, MAX_FRAME, || true).is_err());
     }
 
     /// Hands out one scripted step per `read`: some bytes (no more than the
@@ -713,13 +738,21 @@ mod tests {
         ];
         let mut r = Stalling(script.into_iter().collect());
         // Before the first byte a timeout is the caller's to handle.
-        let idle = read_frame(&mut r, || false).unwrap_err();
+        let idle = read_frame(&mut r, MAX_FRAME, || false).unwrap_err();
         assert!(is_timeout(&idle));
         // Inside the frame, both timeouts resume with no byte lost.
-        assert_eq!(read_frame(&mut r, || false).unwrap().unwrap(), b"hello");
-        assert!(read_frame(&mut r, || false).unwrap().is_none(), "clean EOF");
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME, || false).unwrap().unwrap(),
+            b"hello"
+        );
+        assert!(
+            read_frame(&mut r, MAX_FRAME, || false).unwrap().is_none(),
+            "clean EOF"
+        );
         // A caller that gives up gets the timeout back.
         let mut r = Stalling([Some(&[5, 0][..]), None].into_iter().collect());
-        assert!(is_timeout(&read_frame(&mut r, || true).unwrap_err()));
+        assert!(is_timeout(
+            &read_frame(&mut r, MAX_FRAME, || true).unwrap_err()
+        ));
     }
 }

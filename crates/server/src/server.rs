@@ -34,7 +34,7 @@ use crate::admission::{Admission, AdmissionConfig, Admitted};
 use crate::batch::Batcher;
 use crate::proto::{
     is_timeout, read_frame, write_frame, CertifyReply, ComputeReply, InfoReply, Op, Request,
-    Response, FLAG_NO_CACHE, FLAG_PARANOID,
+    Response, FLAG_NO_CACHE, FLAG_PARANOID, MAX_REQUEST_FRAME,
 };
 use crate::registry::{Registry, ResidentGraph};
 
@@ -657,15 +657,15 @@ pub fn serve_connection(server: &Server, stream: impl Into<Stream>) {
     connection_loop(server, stream.into())
 }
 
-/// Per-connection loop: frame in, response out, until EOF, protocol error,
-/// or drain.
+/// Per-connection loop: frame in, response out, until EOF, an oversized or
+/// truncated frame, a transport error, or drain.
 fn connection_loop(server: &Server, mut stream: Stream) {
     // Short read timeouts let idle connections notice the drain flag. A
     // frame that has started arriving is read to its end, however slowly,
     // unless the drain begins.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     loop {
-        match read_frame(&mut stream, || server.shutting_down()) {
+        match read_frame(&mut stream, MAX_REQUEST_FRAME, || server.shutting_down()) {
             Ok(Some(payload)) => {
                 let resp = match Request::decode(&payload) {
                     Ok(req) => {
@@ -695,6 +695,15 @@ fn connection_loop(server: &Server, mut stream: Stream) {
                 }
             }
             Ok(None) => return, // clean EOF
+            // An oversized length prefix: say so, then hang up, because the
+            // payload that follows cannot be told apart from the next frame.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let resp = Response::Error {
+                    message: format!("request refused: {e}"),
+                };
+                let _ = write_frame(&mut stream, &resp.encode());
+                return;
+            }
             Err(e) if is_timeout(&e) => {
                 if server.shutting_down() {
                     return;

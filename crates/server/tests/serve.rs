@@ -16,7 +16,7 @@ use std::time::Duration;
 use msf_core::{minimum_spanning_forest, Algorithm, MsfConfig};
 use msf_graph::generators::{random_graph, GeneratorConfig};
 use msf_graph::{io, EdgeList};
-use msf_server::proto::{Op, Request, Response};
+use msf_server::proto::{Op, Request, Response, MAX_FRAME, MAX_REQUEST_FRAME};
 use msf_server::server::serve_with;
 use msf_server::{Client, Listen, ServerConfig};
 
@@ -323,6 +323,41 @@ fn a_writer_that_pauses_mid_frame_gets_its_reply() {
     s.write_all(&frame).unwrap();
     assert!(matches!(read_reply(&mut s), Response::Pong));
     assert_eq!(shutdown(&addr, handle), 0);
+}
+
+#[test]
+fn oversized_request_frames_get_an_error_naming_the_cap() {
+    use std::io::Read as _;
+    let (addr, handle) = start_daemon("oversized", ServerConfig::default(), vec![]);
+    let sock = addr.strip_prefix("unix:").unwrap();
+    // One prefix past the reply cap, and one far below it but past the
+    // request cap. Only the prefix is sent: the reply must not wait for a
+    // payload.
+    for len in [MAX_FRAME + 1, 1 << 20] {
+        let mut s = std::os::unix::net::UnixStream::connect(sock).expect("connect raw");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&len.to_le_bytes()).unwrap();
+        match read_reply(&mut s) {
+            Response::Error { message } => assert!(
+                message.contains(&format!("{MAX_REQUEST_FRAME}-byte cap")),
+                "prefix {len}: {message}"
+            ),
+            other => panic!("prefix {len}: unexpected reply {other:?}"),
+        }
+        // The stream is out of step, so the daemon hangs up.
+        assert_eq!(
+            s.read(&mut [0u8; 1]).expect("clean close"),
+            0,
+            "prefix {len}"
+        );
+    }
+    let mut c = Client::connect(&addr).expect("connect");
+    assert!(matches!(c.ping().expect("ping"), Response::Pong));
+    assert_eq!(
+        shutdown(&addr, handle),
+        0,
+        "an oversized frame is a soft error"
+    );
 }
 
 #[test]
