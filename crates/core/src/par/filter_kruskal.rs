@@ -8,8 +8,13 @@
 //! on the light side first, then discard every heavy edge whose endpoints
 //! the light recursion already connected — the cycle property again, but
 //! applied through a union-find instead of path-max queries — and recurse
-//! on the survivors. Small slices fall through to a sequential Kruskal
-//! base case over the shared [`ConcurrentUnionFind`].
+//! on the survivors. The recursion stops where the fused kernels stop
+//! splitting: a slice they would sweep on one thread (fewer than
+//! [`PAR_THRESHOLD`] edges) goes straight to a sequential Kruskal base
+//! case over the shared [`ConcurrentUnionFind`], so every partition and
+//! heavy filter runs on a slice the pool can split. The base case sorts
+//! one `u128` per edge as plain integers: the [`packed_edge_key`] the
+//! pivot uses, with the edge's slice index in the low 32 bits.
 //!
 //! Because all light keys precede all heavy keys and every base case sorts
 //! ascending, edges are united in globally nondecreasing `(weight, id)`
@@ -34,15 +39,11 @@ use msf_primitives::atomic::packed_edge_key;
 use msf_primitives::connectivity::concurrent::ConcurrentUnionFind;
 use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::fused::{filter_relabel_compact, partition_compact, record_traffic};
+use msf_primitives::prefix::PAR_THRESHOLD;
 
 use crate::par::common::PHASE_OVERHEAD;
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan, StepStats};
 use crate::{MsfConfig, MsfResult};
-
-/// Slices at or below this size go to the sequential Kruskal base case.
-/// Matches the write-min contender's philosophy: below this the fork and
-/// partition overhead cannot pay for itself.
-const BASE_CASE_EDGES: usize = 2048;
 
 /// Upper bound on pivot-sample size (stride-spread over the slice).
 const PIVOT_SAMPLE: usize = 64;
@@ -154,7 +155,7 @@ fn recurse(
     if m == 0 {
         return;
     }
-    if m <= BASE_CASE_EDGES || depth >= MAX_DEPTH {
+    if m < PAR_THRESHOLD || depth >= MAX_DEPTH {
         *base_cost += base_case(edges, n, uf, out, depth);
         return;
     }
@@ -240,6 +241,12 @@ fn recurse(
 /// Sequential Kruskal over one slice: sort ascending under the total
 /// order, unite in order, emit the ids that linked. Returns the modeled
 /// cost of the solve (sort plus scattered union-find traffic, serial).
+///
+/// Each edge becomes one `u128`, `packed_edge_key(w, id) << 32 | index`:
+/// the 96-bit packed key orders exactly as [`Edge::key`] (±0.0 and ties
+/// included), ids are unique so the slice index below it never decides
+/// an order, and it gives the edge back after the integer sort. Edge ids
+/// are `u32`, so a slice never holds more than 2³² edges.
 fn base_case(
     edges: &[Edge],
     n: usize,
@@ -252,10 +259,14 @@ fn base_case(
         return 0;
     }
     let step = StepSpan::begin(StepKind::BaseCase, depth);
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_unstable_by_key(|&i| edges[i as usize].key());
-    for &i in &order {
-        let e = &edges[i as usize];
+    let mut keys: Vec<u128> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (packed_edge_key(e.w, e.id) << 32) | i as u128)
+        .collect();
+    keys.sort_unstable();
+    for key in keys {
+        let e = &edges[key as u32 as usize];
         if uf.unite(e.u, e.v, e.id) {
             out.push(e.id);
         }
@@ -298,7 +309,7 @@ mod tests {
     #[test]
     fn recursion_engages_above_the_base_case() {
         // Large enough that at least one partition + heavy filter happens.
-        let g = random_graph(&GeneratorConfig::with_seed(7), 2000, 3 * BASE_CASE_EDGES);
+        let g = random_graph(&GeneratorConfig::with_seed(7), 2000, 3 * PAR_THRESHOLD);
         let expect = crate::seq::kruskal::msf(&g);
         let r = msf(&g, &cfg(3));
         assert_eq!(r.edges, expect.edges);
@@ -323,6 +334,29 @@ mod tests {
         for p in [1, 3] {
             assert_eq!(msf(&g, &cfg(p)).edges, expect.edges, "p {p}");
         }
+
+        // Above the cutoff, so the pivot split, the heavy filter and the
+        // packed base-case sort all meet ±0.0, negatives, a subnormal and
+        // heavy ties; each must order them exactly as `Edge::key()` does.
+        let n = 4_000u32;
+        let weights = [1.0, -2.5, 0.0, -0.0, f64::MIN_POSITIVE / 4.0, -1e-300];
+        let triples: Vec<(u32, u32, f64)> = (0..3 * PAR_THRESHOLD as u32)
+            .map(|i| {
+                let u = i % n;
+                let v = (u + 1 + i.wrapping_mul(2654435761) % (n - 1)) % n;
+                let w = weights[(i.wrapping_mul(40503) >> 7) as usize % weights.len()];
+                (u, v, w)
+            })
+            .collect();
+        let g = EdgeList::from_triples(n as usize, triples);
+        let expect = crate::seq::kruskal::msf(&g);
+        for p in [1, 2, 3] {
+            let r = msf(&g, &cfg(p));
+            assert!(!r.stats.iterations.is_empty(), "p {p}: no recursion");
+            assert_eq!(r.edges, expect.edges, "mixed keys, p {p}");
+        }
+        let r = msf_primitives::pool::with_sequential(|| msf(&g, &cfg(3)));
+        assert_eq!(r.edges, expect.edges, "mixed keys, sequential");
     }
 
     #[test]

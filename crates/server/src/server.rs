@@ -611,15 +611,26 @@ pub fn serve_with(cfg: ServerConfig, preload: &[(String, String)]) -> Result<i32
             Ok(stream) => {
                 CONNECTIONS.inc();
                 let server = Arc::clone(&server);
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("msf-serve-conn".into())
-                    .spawn(move || connection_loop(&server, stream))
-                    .expect("spawn connection thread");
-                let mut workers = workers.lock().unwrap();
-                workers.push(handle);
-                // Opportunistically reap finished threads so a long-lived
-                // daemon doesn't accumulate handles.
-                workers.retain(|h| !h.is_finished());
+                    .spawn(move || connection_loop(&server, stream));
+                match spawned {
+                    Ok(handle) => {
+                        let mut workers = workers.lock().unwrap();
+                        workers.push(handle);
+                        // Opportunistically reap finished threads so a
+                        // long-lived daemon doesn't accumulate handles.
+                        workers.retain(|h| !h.is_finished());
+                    }
+                    // A failed spawn drops the closure, and with it the
+                    // stream, so the client sees its connection close; the
+                    // daemon backs off as after a failed accept and keeps
+                    // serving.
+                    Err(e) => {
+                        eprintln!("spawn connection thread failed: {e}");
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));

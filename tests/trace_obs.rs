@@ -141,9 +141,10 @@ fn chrome_export_is_valid_json_with_named_spans() {
 #[test]
 fn filter_kruskal_trace_shape_and_reconciliation() {
     let _l = lock();
-    // 60×60 mesh: 7080 edges, comfortably above the 2048-edge base-case
-    // cutoff, so the pivot recursion actually engages.
-    let g = mesh2d(&GeneratorConfig::with_seed(11), 60, 60);
+    // 150×150 mesh: 44,700 edges, above the base-case cutoff
+    // (`PAR_THRESHOLD`, 16,384 edges), so the pivot recursion actually
+    // engages.
+    let g = mesh2d(&GeneratorConfig::with_seed(11), 150, 150);
     let (trace, r) = traced_run(&g, Algorithm::FilterKruskal, 2);
     trace.validate_nesting().expect("nesting");
     assert_eq!(trace.count(SpanKind::Run, Phase::End), 1);

@@ -370,6 +370,8 @@ fn fk_filter_queries_race_path_halving() {
 
 /// End-to-end determinism for the sampling Filter-Kruskal under the forced
 /// stress pool: racing heavy-filter sweeps must never perturb the forest.
+/// The input is above the base-case cutoff (`PAR_THRESHOLD` edges), so
+/// the recursion runs partitions and heavy filters the pool splits.
 #[test]
 fn filter_kruskal_is_deterministic_under_the_stress_pool() {
     let _l = lock();
@@ -378,7 +380,7 @@ fn filter_kruskal_is_deterministic_under_the_stress_pool() {
         &msf_graph::generators::random_graph(
             &msf_graph::generators::GeneratorConfig::with_seed(11),
             2_000,
-            12_000,
+            3 * msf_primitives::prefix::PAR_THRESHOLD,
         ),
         msf_graph::generators::WeightScheme::SmallIntegers { range: 6 },
         11,
