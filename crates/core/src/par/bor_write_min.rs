@@ -43,20 +43,33 @@
 //! order and the `(weight, id)` tie-break is preserved end to end: the
 //! output is the suite-wide unique forest, bit-identical at every thread
 //! count and under `MSF_SEQUENTIAL`.
+//!
+//! [`first_round`] runs the first round alone, unfused, for the daemon's
+//! round cache: the same race, harvest and connect, then one
+//! relabel-and-filter sweep whose survivors become a contracted
+//! [`EdgeList`] with an id map (`crate::job`).
 
 use msf_graph::{Edge, EdgeList};
 use msf_primitives::atomic::{packed_edge_key, MinSlots, EMPTY};
 use msf_primitives::cost::{Stopwatch, WorkMeter};
 use msf_primitives::obs;
 use msf_primitives::pool;
+use msf_primitives::prefix::exclusive_scan;
 
-use crate::par::common::{connect_components, emit_unique, write_min_race, PHASE_OVERHEAD};
+use crate::job::BoruvkaRound;
+use crate::par::common::{
+    connect_components, emit_unique, relabel_and_filter, write_min_race, PHASE_OVERHEAD,
+};
 use crate::stats::{IterationStats, RunStats, StepKind, StepSpan};
 use crate::{MsfConfig, MsfResult};
 
 /// Below this many surviving edges the races stop paying for their phase
 /// overhead and a sequential Kruskal finishes the contracted multigraph.
 const BASE_CASE_EDGES: usize = 256;
+
+/// Fewest vertices or survivors one [`first_round`] task relabels or
+/// gathers ids for.
+const ID_GRAIN: usize = 1 << 14;
 
 /// This round's edge array: round 0 reads the input graph in place (it is
 /// never copied); later rounds own their filtered list.
@@ -200,6 +213,42 @@ pub fn msf(g: &EdgeList, cfg: &MsfConfig) -> MsfResult {
 
     stats.total_seconds = watch.seconds();
     MsfResult::from_ids(g, out, stats)
+}
+
+/// The first round of [`msf`] over `g` on `p` blocks, kept as a cacheable
+/// [`BoruvkaRound`]: the write-min race, the harvest, connect, and a
+/// relabel-and-filter sweep. The survivors keep their input order, so their
+/// fresh ids `0..m'` are monotone in the input ids. The contraction's
+/// vertices are the round's components in root order, less the input
+/// vertices that have no edge. The round is the same at every `p`.
+pub fn first_round(g: &EdgeList, p: usize) -> BoruvkaRound {
+    let p = p.max(1);
+    let (n, edges) = (g.num_vertices(), g.edges());
+    let mut meters = vec![WorkMeter::new(); p];
+    let slots = write_min_race(edges, n, p, &mut meters);
+    let (chosen, to) = harvest(edges, &slots, n, p, &mut meters, |e, v| (e.id, e.other(v)));
+    let mut forest = Vec::new();
+    emit_unique(&mut forest, chosen);
+    // Only a vertex with no edge hooks to itself, and it stays alone.
+    let bare: Vec<usize> = (0..n).filter(|&v| to[v] as usize == v).collect();
+    let (labels, k) = connect_components(to, p, &mut meters);
+    let mut live = vec![1usize; k as usize];
+    for &v in &bare {
+        live[labels[v] as usize] = 0;
+    }
+    let k = exclusive_scan(&mut live);
+    let labels = pool::map_collect(n, ID_GRAIN, |v| live[labels[v] as usize] as u32);
+    let kept = relabel_and_filter(edges, &labels, p, &mut meters);
+    let id_map = pool::map_collect(kept.len(), ID_GRAIN, |i| kept[i].id);
+    let contracted = EdgeList::try_from_edges(k, kept)
+        .unwrap_or_else(|e| panic!("a contraction of a valid graph is valid: {e}"));
+    BoruvkaRound {
+        forest,
+        contracted,
+        id_map,
+        orig_vertices: n,
+        orig_edges: edges.len(),
+    }
 }
 
 /// Walk the quiescent slots in `p` metered blocks (one read per vertex).

@@ -1,12 +1,16 @@
 //! The edge-list graph representation.
 
 use crate::edge::Edge;
+use msf_primitives::pool;
+
+/// Fewest edges one [`EdgeList::try_from_edges`] task checks.
+const CHECK_GRAIN: usize = 1 << 14;
 
 /// Why a set of `(u, v, w)` triples cannot form a valid [`EdgeList`].
 ///
-/// Every ingestion boundary (DIMACS, METIS, the binary loader, the builder
-/// API) reports through this type instead of panicking, so hostile or
-/// corrupt input becomes a clean error. The `Display` messages deliberately
+/// Every ingestion boundary (DIMACS, the binary loader, the builder API)
+/// reports through this type instead of panicking, so hostile or corrupt
+/// input becomes a clean error. The `Display` messages deliberately
 /// contain the historic panic phrases ("out of range", "self-loops",
 /// "finite") that the panicking constructors still raise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,10 +134,9 @@ pub(crate) fn check_edge(
 
 /// Incremental, validating [`EdgeList`] constructor.
 ///
-/// The streaming parsers push one edge at a time straight off the wire;
-/// every push re-validates endpoints, self-loops, weight finiteness, and
-/// the edge-id capacity, so a finished builder is a valid graph by
-/// construction.
+/// The generators push one edge at a time as they draw it; every push
+/// re-validates endpoints, self-loops, weight finiteness, and the edge-id
+/// capacity, so a finished builder is a valid graph by construction.
 #[derive(Debug, Clone)]
 pub struct EdgeListBuilder {
     n: usize,
@@ -147,7 +150,7 @@ impl EdgeListBuilder {
     }
 
     /// Start a builder over `n` vertices, reserving room for `m` edges (the
-    /// parsers pass the declared edge count so the hot loop never
+    /// generators pass the edge count they will draw, so the hot loop never
     /// reallocates).
     pub fn with_capacity(n: usize, m: usize) -> Result<Self, GraphBuildError> {
         check_id_space(n, m)?;
@@ -225,6 +228,23 @@ impl EdgeList {
             b.try_push(u as u64, v as u64, w)?;
         }
         Ok(b.finish())
+    }
+
+    /// Build from edges on the pool: each edge passes the checks of
+    /// [`EdgeListBuilder::try_push`] and takes its position as its id. The
+    /// first failing edge in order names the error.
+    pub fn try_from_edges(n: usize, mut edges: Vec<Edge>) -> Result<Self, GraphBuildError> {
+        check_id_space(n, edges.len())?;
+        let mut blocks: Vec<&mut [Edge]> = edges.chunks_mut(CHECK_GRAIN).collect();
+        pool::map_mut(&mut blocks, |b, block| {
+            block.iter_mut().enumerate().try_for_each(|(i, e)| {
+                *e = check_edge(n as u64, e.u as u64, e.v as u64, e.w, b * CHECK_GRAIN + i)?;
+                Ok(())
+            })
+        })
+        .into_iter()
+        .collect::<Result<(), GraphBuildError>>()?;
+        Ok(EdgeList { n, edges })
     }
 
     /// Wrap edges a loader has already validated: each id equals its
@@ -360,6 +380,32 @@ mod tests {
         assert_eq!(
             EdgeList::try_from_triples(2, vec![(0, 1, f64::INFINITY)]),
             Err(GraphBuildError::NonFiniteWeight { index: 0 })
+        );
+    }
+
+    #[test]
+    fn try_from_edges_renumbers_and_reports_the_first_fault() {
+        let m = 3 * CHECK_GRAIN;
+        let n = m + 1;
+        let triples = (0..m as u32).map(|i| (i, i + 1, f64::from(i % 7)));
+        let edges: Vec<Edge> = triples
+            .clone()
+            .map(|(u, v, w)| Edge::new(u, v, w, 99))
+            .collect();
+        assert_eq!(
+            EdgeList::try_from_edges(n, edges.clone()),
+            Ok(EdgeList::from_triples(n, triples))
+        );
+        // Faults in two blocks: the earlier one wins.
+        let mut bad = edges;
+        bad[2 * CHECK_GRAIN + 1].w = f64::NAN;
+        bad[CHECK_GRAIN + 5].v = bad[CHECK_GRAIN + 5].u;
+        assert_eq!(
+            EdgeList::try_from_edges(n, bad),
+            Err(GraphBuildError::SelfLoop {
+                index: CHECK_GRAIN + 5,
+                vertex: (CHECK_GRAIN + 5) as u64
+            })
         );
     }
 

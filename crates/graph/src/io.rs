@@ -1,4 +1,4 @@
-//! Streaming DIMACS/METIS graph I/O.
+//! Streaming DIMACS graph I/O.
 //!
 //! The 9th DIMACS shortest-path format adapted to undirected weighted
 //! graphs, as the original `hpc.ece.unm.edu` release consumed:
@@ -9,32 +9,31 @@
 //! a <u> <v> <w>        (1-indexed endpoints, one line per undirected edge)
 //! ```
 //!
-//! Both parsers stream, and the full text is never resident: each reads
+//! The parser streams, and the full text is never resident: it reads
 //! newline-aligned chunks of at most 1 MiB (longer only to hold a longer
-//! line) into one reusable buffer. Past the `p` line the DIMACS parser cuts
-//! each chunk at newlines into about eight blocks per pool worker, parses
-//! the blocks on the pool into per-block edge buffers that are reused from
-//! chunk to chunk, and appends them in file order, so edge ids are file
-//! positions. The METIS parser walks each chunk's lines in order on the
-//! calling thread. Tokens are parsed straight from the bytes; besides the
-//! fixed buffers, the only O(input) allocation is the edge list itself,
-//! reserved once from the declared edge count. A 100M-edge file therefore
-//! costs one pass and zero per-line heap traffic.
-//! Errors carry the byte offset of the offending line, and the DIMACS
-//! parser reports exactly what a line-at-a-time parse would: the first bad
-//! line in file order.
+//! line) into one reusable buffer. Past the `p` line it cuts each chunk at
+//! newlines into about eight blocks per pool worker, parses the blocks on
+//! the pool into per-block edge buffers that are reused from chunk to
+//! chunk, and appends them in file order, so edge ids are file positions.
+//! Tokens are parsed straight from the bytes; besides the fixed buffers,
+//! the only O(input) allocation is the edge list itself, reserved once
+//! from the declared edge count. A 100M-edge file therefore costs one pass
+//! and zero per-line heap traffic.
+//! Errors carry the byte offset of the offending line, and the parser
+//! reports exactly what a line-at-a-time parse would: the first bad line in
+//! file order.
 //!
 //! Validation happens *at the boundary*: endpoints are checked against the
 //! declared vertex count, edge counts against the declared `m` (in both
 //! directions — early abort on excess, error on shortfall), weights must be
-//! finite (`nan`/`inf`/`-inf` parse as floats but are rejected), `p`/header
-//! lines may not repeat, and self-loops are refused. See
+//! finite (`nan`/`inf`/`-inf` parse as floats but are rejected), `p` lines
+//! may not repeat, and self-loops are refused. See
 //! [`crate::edgelist::GraphBuildError`].
 
 use std::io::{BufRead, Write};
 
 use crate::edge::Edge;
-use crate::edgelist::{check_edge, check_id_space, EdgeList, EdgeListBuilder, GraphBuildError};
+use crate::edgelist::{check_edge, check_id_space, EdgeList, GraphBuildError};
 use msf_primitives::obs::metrics::{LazyCounter, LazyHistogram};
 use msf_primitives::pool;
 
@@ -85,7 +84,7 @@ fn bad_at(offset: u64, msg: impl std::fmt::Display) -> std::io::Error {
     )
 }
 
-/// Bytes the parsers read per chunk. A chunk ends at its last newline: the
+/// Bytes the parser reads per chunk. A chunk ends at its last newline: the
 /// partial line after it starts the next chunk, and a line longer than a
 /// chunk grows the buffer until it fits. A DIMACS parse block covers at
 /// least a sixteenth of a chunk.
@@ -491,155 +490,6 @@ fn nth_a_line(text: &[u8], k: usize) -> usize {
         .expect("the block parsed more than k a lines")
 }
 
-/// Write `g` in METIS adjacency format with edge weights:
-///
-/// ```text
-/// <n> <m> 001
-/// <nbr> <w*SCALE> <nbr> <w*SCALE> …     (line i = neighbors of vertex i, 1-indexed)
-/// ```
-///
-/// METIS weights are integers; weights are scaled by `weight_scale` and
-/// rounded, so exact roundtrips need weights that are multiples of
-/// `1/weight_scale`.
-pub fn write_metis(g: &EdgeList, weight_scale: f64, mut out: impl Write) -> std::io::Result<()> {
-    let csr = crate::adjacency::AdjacencyArray::from_edge_list(g);
-    writeln!(out, "{} {} 001", g.num_vertices(), g.num_edges())?;
-    for v in 0..g.num_vertices() as u32 {
-        let mut first = true;
-        for (t, w, _) in csr.neighbors(v) {
-            if !first {
-                write!(out, " ")?;
-            }
-            write!(out, "{} {}", t + 1, (w * weight_scale).round() as i64)?;
-            first = false;
-        }
-        writeln!(out)?;
-    }
-    Ok(())
-}
-
-/// Parse a METIS adjacency file (weighted, fmt `001` or `1`). Each
-/// undirected edge must appear in both endpoint lines; duplicates collapse.
-pub fn read_metis(input: impl BufRead, weight_scale: f64) -> std::io::Result<EdgeList> {
-    let start = std::time::Instant::now();
-    let mut chunks = Chunks::new(input, CHUNK_BYTES);
-    // `(n, m, edges so far)` once the header is read.
-    let mut graph: Option<(u64, u64, EdgeListBuilder)> = None;
-    // The vertex whose adjacency line comes next.
-    let mut v: u64 = 0;
-    while let Some((chunk_offset, chunk)) = chunks.next_chunk()? {
-        for (at, line) in lines(chunk) {
-            let offset = chunk_offset + at as u64;
-            let Some((n, m, builder)) = &mut graph else {
-                // Header: first non-comment, non-blank line.
-                if !line.is_empty() && line.first() != Some(&b'%') {
-                    graph = Some(metis_header(offset, line)?);
-                }
-                continue;
-            };
-            let (n, m) = (*n, *m);
-            if line.first() == Some(&b'%') {
-                continue;
-            }
-            if v >= n {
-                if tokens(line).next().is_none() {
-                    continue;
-                }
-                return Err(bad_at(offset, "more adjacency lines than vertices"));
-            }
-            let mut tok = tokens(line);
-            while let Some(nbr) = tok.next() {
-                let u = parse_u64(nbr).ok_or_else(|| bad_at(offset, "bad neighbor id"))?;
-                let w_tok = tok
-                    .next()
-                    .ok_or_else(|| bad_at(offset, "neighbor missing weight"))?;
-                let w_int =
-                    parse_i64(w_tok).ok_or_else(|| bad_at(offset, "bad neighbor weight"))?;
-                if u == 0 || u > n {
-                    return Err(bad_at(
-                        offset,
-                        format!("neighbor id {u} out of range (1-indexed, n = {n})"),
-                    ));
-                }
-                // Keep each undirected edge once (from its lower endpoint).
-                if v < u - 1 {
-                    if builder.len() as u64 >= m {
-                        return Err(bad_at(offset, format!("more than the declared {m} edges")));
-                    }
-                    let w = w_int as f64 / weight_scale;
-                    builder
-                        .try_push(v, u - 1, w)
-                        .map_err(|e| bad_at(offset, e))?;
-                }
-            }
-            v += 1;
-        }
-    }
-    let (n, m, builder) = graph.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "missing METIS header")
-    })?;
-    if v != n {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("expected {n} adjacency lines, got {v} (truncated file?)"),
-        ));
-    }
-    if builder.len() as u64 != m {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("header declared {m} edges, found {}", builder.len()),
-        ));
-    }
-    INGEST_BYTES.add(chunks.consumed());
-    INGEST_EDGES.add(builder.len() as u64);
-    INGEST_WALL.record(start.elapsed().as_nanos() as u64);
-    Ok(builder.finish())
-}
-
-/// Parse the METIS header line at `offset`: `n`, `m` and the builder that
-/// will hold the `m` edges.
-fn metis_header(offset: u64, line: &[u8]) -> std::io::Result<(u64, u64, EdgeListBuilder)> {
-    let mut tok = tokens(line);
-    let n = tok
-        .next()
-        .and_then(parse_u64)
-        .ok_or_else(|| bad_at(offset, "header missing n"))?;
-    let m = tok
-        .next()
-        .and_then(parse_u64)
-        .ok_or_else(|| bad_at(offset, "header missing m"))?;
-    match tok.next() {
-        None | Some(b"001") | Some(b"1") => {}
-        Some(other) => {
-            return Err(bad_at(
-                offset,
-                format!("unsupported METIS fmt {:?}", String::from_utf8_lossy(other)),
-            ))
-        }
-    }
-    if n > u64::try_from(usize::MAX).unwrap_or(u64::MAX) {
-        return Err(bad_at(offset, format!("vertex count {n} unrepresentable")));
-    }
-    let builder =
-        EdgeListBuilder::with_capacity(n as usize, usize::try_from(m).unwrap_or(usize::MAX))
-            .map_err(std::io::Error::from)?;
-    Ok((n, m, builder))
-}
-
-/// Parse a signed decimal integer from raw bytes.
-fn parse_i64(tok: &[u8]) -> Option<i64> {
-    match tok.split_first() {
-        Some((&b'-', rest)) => {
-            let v = parse_u64(rest)?;
-            (v <= (i64::MAX as u64) + 1).then(|| (v as i64).wrapping_neg())
-        }
-        _ => {
-            let v = parse_u64(tok)?;
-            i64::try_from(v).ok()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,92 +567,6 @@ mod tests {
                 "weight {w} must be rejected as non-finite, got: {err}"
             );
         }
-    }
-
-    #[test]
-    fn metis_roundtrip_with_integer_weights() {
-        // Weights that are multiples of 1/1000 survive the integer scaling.
-        let base = random_graph(&GeneratorConfig::with_seed(21), 30, 80);
-        let triples: Vec<(u32, u32, f64)> = base
-            .edges()
-            .iter()
-            .map(|e| (e.u, e.v, (e.w * 1000.0).round() / 1000.0))
-            .collect();
-        let g = EdgeList::from_triples(30, triples);
-        let mut buf = Vec::new();
-        write_metis(&g, 1000.0, &mut buf).unwrap();
-        let back = read_metis(&buf[..], 1000.0).unwrap();
-        assert_eq!(back.num_vertices(), g.num_vertices());
-        assert_eq!(back.num_edges(), g.num_edges());
-        // Edge sets match as (min, max, weight) triples.
-        let canon = |g: &EdgeList| {
-            let mut v: Vec<(u32, u32, u64)> = g
-                .edges()
-                .iter()
-                .map(|e| (e.u.min(e.v), e.u.max(e.v), e.w.to_bits()))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(canon(&g), canon(&back));
-    }
-
-    #[test]
-    fn metis_parses_comments_and_rejects_garbage() {
-        let text = "% comment\n3 2 001\n2 5 3 7\n1 5\n1 7\n";
-        let g = read_metis(text.as_bytes(), 1.0).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 2);
-        assert!(
-            read_metis("3 2 011\n".as_bytes(), 1.0).is_err(),
-            "vertex weights unsupported"
-        );
-        assert!(read_metis("".as_bytes(), 1.0).is_err(), "empty file");
-        assert!(
-            read_metis("2 1 001\n2 5\n1 5\n3 1\n".as_bytes(), 1.0).is_err(),
-            "too many lines"
-        );
-        assert!(
-            read_metis("2 1 001\n0 5\n1 5\n".as_bytes(), 1.0).is_err(),
-            "0-indexed neighbor"
-        );
-        assert!(
-            read_metis("2 1 001\n2 5\n".as_bytes(), 1.0).is_err(),
-            "truncated adjacency"
-        );
-        // Zero weight scale would produce infinite weights: rejected at the
-        // ingestion boundary, not downstream.
-        assert!(
-            read_metis("2 1 001\n2 5\n1 5\n".as_bytes(), 0.0).is_err(),
-            "non-finite scaled weight"
-        );
-    }
-
-    #[test]
-    fn metis_parses_across_chunks_with_byte_offsets() {
-        let base = random_graph(&GeneratorConfig::with_seed(22), 20_000, 200_000);
-        let g = EdgeList::from_triples(
-            20_000,
-            base.edges()
-                .iter()
-                .map(|e| (e.u, e.v, (e.w * 1000.0).round() / 1000.0)),
-        );
-        let mut buf = Vec::new();
-        write_metis(&g, 1000.0, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.len() > 2 * CHUNK_BYTES, "the input must span chunks");
-        let back = read_metis(text.as_bytes(), 1000.0).unwrap();
-        assert_eq!(back.num_edges(), g.num_edges());
-        let crlf = text.replace('\n', "\r\n");
-        assert_eq!(read_metis(crlf.as_bytes(), 1000.0).unwrap(), back);
-        // A bad token on the last adjacency line reports that line's offset.
-        let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
-        let mut bad = text.clone();
-        bad.replace_range(last..last + 1, "x");
-        assert_eq!(
-            read_metis(bad.as_bytes(), 1000.0).unwrap_err().to_string(),
-            format!("byte {last}: bad neighbor id")
-        );
     }
 
     /// Chunk size for the tests below: small, so a few hundred lines span

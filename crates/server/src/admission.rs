@@ -1,8 +1,8 @@
 //! Admission control: a budgeted gate in front of the shared pool.
 //!
-//! Every request is costed in *work units* (`m + n` of its graph, the
-//! [`msf_core::job::WorkEstimate`] model). Small jobs — under the large-job
-//! threshold — bypass the gate entirely and go to the epoch batcher, which
+//! Every request is costed in *work units*: `m + n` of its graph, a coarse
+//! size that orders jobs, not a cost model. Small jobs — under the
+//! large-job threshold — bypass the gate entirely and go to the epoch batcher, which
 //! runs them back-to-back on one executor. Large jobs must acquire a
 //! [`WorkPermit`]: the controller caps the total in-flight units, queues a
 //! bounded number of waiters beyond that, and rejects with a protocol-level

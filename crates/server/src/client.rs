@@ -60,7 +60,7 @@ impl Client {
     /// Send one request and block for its response.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
         write_frame(&mut self.conn, &req.encode())?;
-        match read_frame(&mut self.conn, MAX_FRAME, || true)? {
+        match read_frame(&mut self.conn, MAX_FRAME, None, || true)? {
             Some(payload) => Response::decode(&payload),
             None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

@@ -7,11 +7,13 @@
 //! connection; clients may pipeline but the server replies sequentially.
 //! Malformed frames (bad opcode, truncated fields, oversized length) are
 //! protocol errors, and the server answers each with [`Response::Error`].
-//! After an oversized length prefix it then closes the connection, because
-//! the bytes that follow cannot be told apart from the next frame. A
-//! connection cut mid-frame gets no reply.
+//! After an oversized length prefix, or a request frame still incomplete
+//! at its deadline, it then closes the connection, because the bytes that
+//! follow cannot be told apart from the next frame. A connection cut
+//! mid-frame gets no reply.
 
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Hard cap on a reply frame's payload, guarding the client against a
 /// hostile or corrupt length prefix (64 MiB — stats dumps, profiles and
@@ -23,6 +25,11 @@ pub const MAX_FRAME: u32 = 1 << 26;
 /// path, so the server refuses a longer length prefix before it allocates
 /// the payload.
 pub const MAX_REQUEST_FRAME: u32 = 1 << 16;
+
+/// How long a request frame may take to arrive, from its first byte (5 s).
+/// A client that sends part of a frame and stalls, or trickles it, is
+/// refused once this passes instead of holding its connection thread.
+pub const REQUEST_FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Request the forest be re-certified (cycle-property proof) before
 /// replying, even if the server was not started `--paranoid`.
@@ -437,14 +444,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// On a stream with a read timeout, a timeout before the frame's first
 /// byte returns its error, so the caller can idle between frames. Once the
 /// frame has started, a timeout keeps the bytes read so far and resumes,
-/// unless `give_up()` returns true; then the timeout error returns.
+/// unless `give_up()` returns true; then the timeout error returns. With a
+/// `deadline`, a frame still incomplete that long after its first byte
+/// returns an `InvalidData` error naming the deadline. It is checked after
+/// every read, so a trickle of bytes cannot stretch it.
 pub fn read_frame(
     r: &mut impl Read,
     max_len: u32,
+    deadline: Option<Duration>,
     mut give_up: impl FnMut() -> bool,
 ) -> io::Result<Option<Vec<u8>>> {
+    let mut first_byte = None;
     let mut len = [0u8; 4];
-    if !fill(r, &mut len, false, &mut give_up)? {
+    if !fill(r, &mut len, &mut first_byte, deadline, &mut give_up)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(len);
@@ -454,7 +466,7 @@ pub fn read_frame(
         )));
     }
     let mut buf = vec![0u8; len as usize];
-    fill(r, &mut buf, true, &mut give_up)?;
+    fill(r, &mut buf, &mut first_byte, deadline, &mut give_up)?;
     Ok(Some(buf))
 }
 
@@ -466,20 +478,29 @@ pub fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// `read_exact` for one piece of a frame (`started` once an earlier piece
-/// arrived). A clean EOF before the frame's first byte returns `Ok(false)`
-/// instead of an error (so idle peers can hang up between frames); a
-/// timeout after it resumes unless `give_up()`.
+/// `read_exact` for one piece of a frame; `first_byte` is when the frame
+/// started, once any piece of it has arrived. A clean EOF before the
+/// frame's first byte returns `Ok(false)` instead of an error (so idle
+/// peers can hang up between frames); a timeout after it resumes unless
+/// `give_up()`, and a piece still incomplete at the `deadline` fails.
 fn fill(
     r: &mut impl Read,
     buf: &mut [u8],
-    mut started: bool,
+    first_byte: &mut Option<Instant>,
+    deadline: Option<Duration>,
     give_up: &mut impl FnMut() -> bool,
 ) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
+        if let (Some(at), Some(limit)) = (*first_byte, deadline) {
+            if at.elapsed() >= limit {
+                return Err(bad_data(format!(
+                    "frame not complete within the {limit:?} deadline after its first byte"
+                )));
+            }
+        }
         match r.read(&mut buf[filled..]) {
-            Ok(0) if !started => return Ok(false),
+            Ok(0) if first_byte.is_none() => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -488,10 +509,10 @@ fn fill(
             }
             Ok(n) => {
                 filled += n;
-                started = true;
+                first_byte.get_or_insert_with(Instant::now);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if started && is_timeout(&e) && !give_up() => {}
+            Err(e) if first_byte.is_some() && is_timeout(&e) && !give_up() => {}
             Err(e) => return Err(e),
         }
     }
@@ -684,28 +705,34 @@ mod tests {
         write_frame(&mut wire, b"").unwrap();
         let mut r = &wire[..];
         assert_eq!(
-            read_frame(&mut r, MAX_FRAME, || true).unwrap().unwrap(),
+            read_frame(&mut r, MAX_FRAME, None, || true)
+                .unwrap()
+                .unwrap(),
             b"hello"
         );
         assert_eq!(
-            read_frame(&mut r, MAX_FRAME, || true).unwrap().unwrap(),
+            read_frame(&mut r, MAX_FRAME, None, || true)
+                .unwrap()
+                .unwrap(),
             b""
         );
         assert!(
-            read_frame(&mut r, MAX_FRAME, || true).unwrap().is_none(),
+            read_frame(&mut r, MAX_FRAME, None, || true)
+                .unwrap()
+                .is_none(),
             "clean EOF"
         );
         // Oversized length prefixes: past the reply cap, and past the
         // request cap by one byte.
         let mut r = &[0xFF, 0xFF, 0xFF, 0xFF, 0][..];
-        assert!(read_frame(&mut r, MAX_FRAME, || true).is_err());
+        assert!(read_frame(&mut r, MAX_FRAME, None, || true).is_err());
         let mut r = &[1, 0, 1, 0, 0][..];
-        let err = read_frame(&mut r, MAX_REQUEST_FRAME, || true).unwrap_err();
+        let err = read_frame(&mut r, MAX_REQUEST_FRAME, None, || true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("65536-byte cap"), "{err}");
         // Truncated mid-frame.
         let mut r = &[5, 0, 0, 0, b'h'][..];
-        assert!(read_frame(&mut r, MAX_FRAME, || true).is_err());
+        assert!(read_frame(&mut r, MAX_FRAME, None, || true).is_err());
     }
 
     /// Hands out one scripted step per `read`: some bytes (no more than the
@@ -738,21 +765,48 @@ mod tests {
         ];
         let mut r = Stalling(script.into_iter().collect());
         // Before the first byte a timeout is the caller's to handle.
-        let idle = read_frame(&mut r, MAX_FRAME, || false).unwrap_err();
+        let idle = read_frame(&mut r, MAX_FRAME, None, || false).unwrap_err();
         assert!(is_timeout(&idle));
         // Inside the frame, both timeouts resume with no byte lost.
         assert_eq!(
-            read_frame(&mut r, MAX_FRAME, || false).unwrap().unwrap(),
+            read_frame(&mut r, MAX_FRAME, None, || false)
+                .unwrap()
+                .unwrap(),
             b"hello"
         );
         assert!(
-            read_frame(&mut r, MAX_FRAME, || false).unwrap().is_none(),
+            read_frame(&mut r, MAX_FRAME, None, || false)
+                .unwrap()
+                .is_none(),
             "clean EOF"
         );
         // A caller that gives up gets the timeout back.
         let mut r = Stalling([Some(&[5, 0][..]), None].into_iter().collect());
         assert!(is_timeout(
-            &read_frame(&mut r, MAX_FRAME, || true).unwrap_err()
+            &read_frame(&mut r, MAX_FRAME, None, || true).unwrap_err()
         ));
+    }
+
+    #[test]
+    fn a_frame_past_its_deadline_is_refused() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").unwrap();
+        let mut r = &wire[..];
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME, Some(REQUEST_FRAME_DEADLINE), || false)
+                .unwrap()
+                .unwrap(),
+            b"hello"
+        );
+        // With no time to spare, a frame that needs a second read fails
+        // before it.
+        let mut r = Stalling([Some(&[5, 0][..]), Some(&[0, 0][..])].into_iter().collect());
+        let err = read_frame(&mut r, MAX_FRAME, Some(Duration::ZERO), || false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("0ns deadline"), "{err}");
+        // The deadline runs from the first byte: idling before it is free.
+        let mut r = Stalling([None].into_iter().collect());
+        let idle = read_frame(&mut r, MAX_FRAME, Some(Duration::ZERO), || false).unwrap_err();
+        assert!(is_timeout(&idle));
     }
 }

@@ -10,20 +10,23 @@
 //! reloads are the price of a too-small capacity, and the scrape endpoint
 //! makes that visible).
 //!
-//! Each resident graph owns its contracted-intermediate cache: the result
-//! of the first Borůvka round, keyed by algorithm prefix. Under the
-//! `(weight, edge id)` total order the round-1 hooks are in the unique MSF
-//! of every algorithm, so a cached round is valid for all of them — the
-//! prefix key exists so a future round-k or algorithm-specific intermediate
-//! can live alongside without invalidating round-1 entries. A cached round
-//! counts against the capacity like the edge list it was computed from.
+//! Each resident graph keeps one cached intermediate: Bor-WriteMin's first
+//! Borůvka round, in a single slot. Under the `(weight, edge id)` total
+//! order the round's hooks are in the unique MSF, and the round is the same
+//! at every `p`, so one cached round serves every algorithm and every
+//! request. The first request computes it at its own `p`; a concurrent miss
+//! waits for the round in flight instead of computing a second one. A
+//! cached round counts against the capacity like the edge list it was
+//! computed from.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use msf_core::job::{boruvka_round, BoruvkaRound};
+use msf_core::job::BoruvkaRound;
+use msf_core::par::bor_write_min;
 use msf_graph::{binfmt, io, EdgeList};
 use msf_obs::metrics::{LazyCounter, LazyGauge};
 
@@ -51,7 +54,7 @@ pub fn load_graph_file(path: &str) -> Result<EdgeList, String> {
 }
 
 /// A graph pinned in memory by the registry (and by any in-flight jobs),
-/// together with its contracted-intermediate cache.
+/// together with its cached first round.
 pub struct ResidentGraph {
     /// Registry key.
     pub name: String,
@@ -59,7 +62,7 @@ pub struct ResidentGraph {
     pub graph: EdgeList,
     /// Estimated bytes of the edge list.
     edge_bytes: u64,
-    rounds: Mutex<HashMap<String, Arc<BoruvkaRound>>>,
+    round: OnceLock<BoruvkaRound>,
 }
 
 impl ResidentGraph {
@@ -69,47 +72,38 @@ impl ResidentGraph {
             name,
             graph,
             edge_bytes,
-            rounds: Mutex::new(HashMap::new()),
+            round: OnceLock::new(),
         }
     }
 
-    /// Estimated resident bytes: the edge list plus every cached round.
+    /// Estimated resident bytes: the edge list plus the cached round.
     pub fn bytes(&self) -> u64 {
-        let rounds: u64 = self
-            .rounds
-            .lock()
-            .unwrap()
-            .values()
-            .map(|r| r.bytes())
-            .sum();
-        self.edge_bytes + rounds
+        self.edge_bytes + self.round.get().map_or(0, BoruvkaRound::bytes)
     }
 
-    /// The first Borůvka round for `prefix`, computed on miss and cached.
-    /// Returns the round and whether it was a cache hit. `bypass` computes
-    /// fresh without touching the cache (the `--no-cache` request flag).
-    pub fn first_round(&self, prefix: &str, bypass: bool) -> (Arc<BoruvkaRound>, bool) {
+    /// The first Borůvka round, computed on `p` blocks on a miss and cached.
+    /// Returns the round and whether it was a cache hit. A request that
+    /// arrives while another computes the round waits for it and counts as
+    /// a hit. `bypass` computes fresh without touching the cache (the
+    /// `--no-cache` request flag).
+    pub fn first_round(&self, p: usize, bypass: bool) -> (Cow<'_, BoruvkaRound>, bool) {
         if bypass {
-            return (Arc::new(boruvka_round(&self.graph)), false);
+            return (
+                Cow::Owned(bor_write_min::first_round(&self.graph, p)),
+                false,
+            );
         }
-        if let Some(r) = self.rounds.lock().unwrap().get(prefix) {
+        let mut missed = false;
+        let round = self.round.get_or_init(|| {
+            missed = true;
+            bor_write_min::first_round(&self.graph, p)
+        });
+        if missed {
+            ROUND_MISSES.inc();
+        } else {
             ROUND_HITS.inc();
-            return (Arc::clone(r), true);
         }
-        // Compute outside the lock: a second client missing concurrently
-        // duplicates work once rather than serializing behind a long round.
-        let fresh = Arc::new(boruvka_round(&self.graph));
-        let mut rounds = self.rounds.lock().unwrap();
-        let r = rounds
-            .entry(prefix.to_string())
-            .or_insert_with(|| Arc::clone(&fresh));
-        ROUND_MISSES.inc();
-        (Arc::clone(r), false)
-    }
-
-    /// Cached rounds currently held (for info/tests).
-    pub fn cached_rounds(&self) -> usize {
-        self.rounds.lock().unwrap().len()
+        (Cow::Borrowed(round), !missed)
     }
 }
 
@@ -415,15 +409,20 @@ mod tests {
         );
         let reg = Registry::new(u64::MAX);
         let (g, _) = reg.load("sq", &path).unwrap();
+        let loaded = g.bytes();
 
-        let (r1, hit) = g.first_round("boruvka1", false);
+        let (r1, hit) = g.first_round(2, false);
         assert!(!hit, "first request computes");
-        let (r2, hit) = g.first_round("boruvka1", true);
+        let (r2, hit) = g.first_round(2, true);
         assert!(!hit, "bypass never hits");
-        assert!(!Arc::ptr_eq(&r1, &r2));
-        let (r3, hit) = g.first_round("boruvka1", false);
-        assert!(hit, "second request hits");
-        assert!(Arc::ptr_eq(&r1, &r3));
-        assert_eq!(g.cached_rounds(), 1);
+        assert!(!std::ptr::eq(&*r1, &*r2));
+        let (r3, hit) = g.first_round(3, false);
+        assert!(hit, "second request hits, whatever its p");
+        assert!(std::ptr::eq(&*r1, &*r3));
+        assert_eq!(
+            g.bytes(),
+            loaded + r1.bytes(),
+            "only the cached round is charged"
+        );
     }
 }

@@ -8,6 +8,13 @@
 //! (clients are benchmark harnesses and scripts, not web traffic) and every
 //! interesting wait happens inside a compute, where the pool owns the CPUs.
 //!
+//! A compute resolves its graph, passes the admission gate on the graph's
+//! `m + n`, takes the graph's cached first Borůvka round (computed at the
+//! request's `p` on a miss) and finishes the requested algorithm over the
+//! contraction with [`finish_from_round`]. A request frame must arrive
+//! within [`REQUEST_FRAME_DEADLINE`] of its first byte; a frame that does
+//! not gets an in-band error, and the connection closes.
+//!
 //! Shutdown is cooperative: SIGTERM/SIGINT (or a `Shutdown` frame) sets one
 //! atomic flag; the accept loop stops accepting, connection threads finish
 //! the request in flight and hang up, the batcher drains, and the process
@@ -25,8 +32,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use msf_core::certify::certify_msf_with;
-use msf_core::job::MsfJob;
-use msf_core::{Algorithm, MsfConfig};
+use msf_core::job::finish_from_round;
+use msf_core::{Algorithm, MsfConfig, MsfResult};
 use msf_obs::metrics::{LazyCounter, LazyHistogram};
 use msf_obs::{self as obs, SpanKind};
 
@@ -34,7 +41,7 @@ use crate::admission::{Admission, AdmissionConfig, Admitted};
 use crate::batch::Batcher;
 use crate::proto::{
     is_timeout, read_frame, write_frame, CertifyReply, ComputeReply, InfoReply, Op, Request,
-    Response, FLAG_NO_CACHE, FLAG_PARANOID, MAX_REQUEST_FRAME,
+    Response, FLAG_NO_CACHE, FLAG_PARANOID, MAX_REQUEST_FRAME, REQUEST_FRAME_DEADLINE,
 };
 use crate::registry::{Registry, ResidentGraph};
 
@@ -44,11 +51,6 @@ static HARD_FAILURES: LazyCounter = LazyCounter::new("serve.hard_failures");
 static CONNECTIONS: LazyCounter = LazyCounter::new("serve.connections");
 static COMPUTE_NS: LazyHistogram = LazyHistogram::new("serve.compute_ns");
 static SLOW_REQUESTS: LazyCounter = LazyCounter::new("serve.slow_requests");
-
-/// The cache key prefix for first-round Borůvka intermediates. Valid for
-/// every algorithm: under the `(weight, id)` total order the round's hooks
-/// are in the unique MSF regardless of what finishes the job.
-const ROUND_PREFIX: &str = "boruvka1";
 
 /// Where to listen.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -369,14 +371,13 @@ impl Server {
             Ok((g, _)) => g,
             Err(message) => return Response::Error { message },
         };
-        let job = MsfJob::with_config(algorithm, MsfConfig::with_threads(threads));
-        let units = job.estimate(&resident.graph).units as u64;
+        let units = resident.graph.num_edges() as u64 + resident.graph.num_vertices() as u64;
         let paranoid = self.cfg.paranoid || req.flags & FLAG_PARANOID != 0;
         let no_cache = req.flags & FLAG_NO_CACHE != 0;
 
         let run = {
             let resident = Arc::clone(&resident);
-            move || run_job(&resident, &job, no_cache)
+            move || run_job(&resident, algorithm, threads, no_cache)
         };
         let outcome = match self.admission.admit(units) {
             Admitted::Rejected { queued, max } => return Response::Overloaded { queued, max },
@@ -447,16 +448,19 @@ impl Server {
     }
 }
 
-/// Run one job against a resident graph, serving the first Borůvka round
-/// from the intermediate cache. Returns (result, cache hit, wall ns).
+/// Run one job against a resident graph on `threads` blocks, serving the
+/// first Borůvka round from the graph's cache (or computing it there).
+/// Returns (result, cache hit, wall ns).
 fn run_job(
     resident: &ResidentGraph,
-    job: &MsfJob,
+    algorithm: Algorithm,
+    threads: usize,
     no_cache: bool,
-) -> (msf_core::MsfResult, bool, u64) {
+) -> (MsfResult, bool, u64) {
     let t0 = Instant::now();
-    let (round, hit) = resident.first_round(ROUND_PREFIX, no_cache);
-    let result = job.run_from_round(&resident.graph, &round);
+    let (round, hit) = resident.first_round(threads, no_cache);
+    let cfg = MsfConfig::with_threads(threads);
+    let result = finish_from_round(&resident.graph, &round, algorithm, &cfg);
     (result, hit, t0.elapsed().as_nanos() as u64)
 }
 
@@ -668,15 +672,21 @@ pub fn serve_connection(server: &Server, stream: impl Into<Stream>) {
     connection_loop(server, stream.into())
 }
 
-/// Per-connection loop: frame in, response out, until EOF, an oversized or
-/// truncated frame, a transport error, or drain.
+/// Per-connection loop: frame in, response out, until EOF, an oversized,
+/// late or truncated frame, a transport error, or drain.
 fn connection_loop(server: &Server, mut stream: Stream) {
     // Short read timeouts let idle connections notice the drain flag. A
-    // frame that has started arriving is read to its end, however slowly,
-    // unless the drain begins.
+    // frame that has started arriving is read to its end unless the drain
+    // begins or its deadline passes.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     loop {
-        match read_frame(&mut stream, MAX_REQUEST_FRAME, || server.shutting_down()) {
+        let frame = read_frame(
+            &mut stream,
+            MAX_REQUEST_FRAME,
+            Some(REQUEST_FRAME_DEADLINE),
+            || server.shutting_down(),
+        );
+        match frame {
             Ok(Some(payload)) => {
                 let resp = match Request::decode(&payload) {
                     Ok(req) => {
@@ -706,8 +716,9 @@ fn connection_loop(server: &Server, mut stream: Stream) {
                 }
             }
             Ok(None) => return, // clean EOF
-            // An oversized length prefix: say so, then hang up, because the
-            // payload that follows cannot be told apart from the next frame.
+            // An oversized length prefix, or a frame past its deadline: say
+            // so, then hang up, because the bytes that follow cannot be told
+            // apart from the next frame.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let resp = Response::Error {
                     message: format!("request refused: {e}"),
@@ -798,7 +809,7 @@ mod tests {
             msf_graph::io::write_dimacs(&g, std::fs::File::create(&path).unwrap()).unwrap();
             path.to_str().unwrap().to_string()
         });
-        let round = msf_core::job::boruvka_round(&g).bytes();
+        let round = msf_core::par::bor_write_min::first_round(&g, 1).bytes();
         let loaded = Registry::new(u64::MAX).put("g", g).bytes();
         let cap = 2 * loaded + round / 2;
         let server = Server::new(ServerConfig {

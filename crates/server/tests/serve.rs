@@ -16,7 +16,9 @@ use std::time::Duration;
 use msf_core::{minimum_spanning_forest, Algorithm, MsfConfig};
 use msf_graph::generators::{random_graph, GeneratorConfig};
 use msf_graph::{io, EdgeList};
-use msf_server::proto::{Op, Request, Response, MAX_FRAME, MAX_REQUEST_FRAME};
+use msf_server::proto::{
+    Op, Request, Response, MAX_FRAME, MAX_REQUEST_FRAME, REQUEST_FRAME_DEADLINE,
+};
 use msf_server::server::serve_with;
 use msf_server::{Client, Listen, ServerConfig};
 
@@ -357,6 +359,44 @@ fn oversized_request_frames_get_an_error_naming_the_cap() {
         shutdown(&addr, handle),
         0,
         "an oversized frame is a soft error"
+    );
+}
+
+#[test]
+fn a_stalled_frame_is_refused_at_its_deadline() {
+    use std::io::Read as _;
+    let (addr, handle) = start_daemon("stalled", ServerConfig::default(), vec![]);
+    let sock = addr.strip_prefix("unix:").unwrap();
+    let mut s = std::os::unix::net::UnixStream::connect(sock).expect("connect raw");
+    let margin = Duration::from_secs(2);
+    s.set_read_timeout(Some(REQUEST_FRAME_DEADLINE + 2 * margin))
+        .unwrap();
+    // Two bytes of a length prefix, then nothing.
+    s.write_all(&[8, 0]).unwrap();
+    let sent = std::time::Instant::now();
+    match read_reply(&mut s) {
+        Response::Error { message } => assert!(
+            message.contains(&format!("{REQUEST_FRAME_DEADLINE:?} deadline")),
+            "{message}"
+        ),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    assert_eq!(s.read(&mut [0u8; 1]).expect("clean close"), 0);
+    let waited = sent.elapsed();
+    assert!(
+        waited + Duration::from_millis(200) >= REQUEST_FRAME_DEADLINE,
+        "refused early, after {waited:?}"
+    );
+    assert!(
+        waited <= REQUEST_FRAME_DEADLINE + margin,
+        "closed late, after {waited:?}"
+    );
+    let mut c = Client::connect(&addr).expect("connect");
+    assert!(matches!(c.ping().expect("ping"), Response::Pong));
+    assert_eq!(
+        shutdown(&addr, handle),
+        0,
+        "a stalled frame is a soft error"
     );
 }
 

@@ -219,24 +219,3 @@ fn corrupting_any_header_byte_is_detected() {
     assert_eq!(rejected, 128, "some header corruption went undetected");
     std::fs::remove_file(&path).ok();
 }
-
-/// METIS ingestion shares the streaming scanner and the validating builder
-/// with DIMACS; spot-check its boundary behavior too.
-#[test]
-fn metis_rejects_structural_violations() {
-    let cases: [(&str, f64, &str); 3] = [
-        ("4 3 001\n2 5\n1 5\n", 1.0, "truncated"),
-        // weight_scale = 0 turns every integer weight infinite — the
-        // finiteness gate must hold on this path too.
-        ("2 1 001\n2 5\n1 5\n", 0.0, "finite"),
-        ("2 1 001\n5 1\n1 1\n", 1.0, "out of range"),
-    ];
-    for (text, scale, needle) in cases {
-        let err = io::read_metis(Cursor::new(text.as_bytes()), scale)
-            .expect_err("malformed metis must be rejected");
-        assert!(
-            err.to_string().contains(needle),
-            "expected {needle:?} in: {err}"
-        );
-    }
-}
